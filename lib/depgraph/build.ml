@@ -79,39 +79,23 @@ let exec_decomposition (cfg : Config.t) (d : Trace.dyn) (e : Events.evt) :
   | Isa.Int_mul | Isa.Int_div | Isa.Fp_add | Isa.Fp_mul | Isa.Fp_div ->
     (0, [ (Category.Lgalu, Config.exec_latency cfg cls) ])
 
-let components_of_list l =
-  List.filter_map
-    (fun (cat, lat) -> if lat > 0 then Some { Graph.cat; lat } else None)
-    l
-
 (** Emit all edges for instruction [i] given its [info] and whether the
-    previous instruction mispredicted. *)
+    previous instruction mispredicted.  The edges into each node are
+    emitted in the order evaluation scans them, which is also the order
+    {!Graph.critical_path} breaks ties in and the order graph snapshots
+    store: keep it stable. *)
 let emit (p : params) (b : Graph.Builder.b) ~prev_mispredict ~taken_limit_src
     ~seq:(i : int) (info : instr_info) =
   let open Graph in
   Builder.note_instr b;
   let n kind = node ~seq:i ~kind in
   let np seq kind = node ~seq ~kind in
+  (* a category-owned share of the latest edge's latency *)
+  let comp cat lat = if lat > 0 then Builder.add_component b cat lat in
   (* --- edges into D --- *)
-  if i > 0 then begin
-    (* DD: in-order dispatch; carries the I-cache miss latency of i, and, in
-       the previous-work model, an implicit fetch-bandwidth latency *)
-    let implicit_bw =
-      if (not p.explicit_bw) && i mod p.fetch_bw = 0 then
-        [ (Category.Bw, 1) ]
-      else []
-    in
-    let comps =
-      components_of_list ((Category.Imiss, info.imiss_delay) :: implicit_bw)
-    in
-    Builder.add_edge b ~src:(np (i - 1) D) ~dst:(n D) ~kind:DD ~components:comps ();
-    if prev_mispredict then
-      Builder.add_edge b ~src:(np (i - 1) P) ~dst:(n D) ~kind:PD
-        ~base:p.branch_recovery ~removed_by:Category.Bmisp ()
-  end;
-  if p.explicit_bw && i >= p.fetch_bw then
-    Builder.add_edge b ~src:(np (i - p.fetch_bw) D) ~dst:(n D) ~kind:FBW ~base:1
-      ~removed_by:Category.Bw ();
+  if i >= p.window then
+    Builder.add_edge b ~src:(np (i - p.window) C) ~dst:(n D) ~kind:CD
+      ~removed_by:Category.Win ();
   (* fetch stops at the [fetch_taken_limit]-th taken branch per cycle, so the
      m-th taken branch dispatches at least one cycle after the
      (m - limit)-th — an FBW edge between taken branches *)
@@ -120,57 +104,65 @@ let emit (p : params) (b : Graph.Builder.b) ~prev_mispredict ~taken_limit_src
      Builder.add_edge b ~src:(np j D) ~dst:(n D) ~kind:FBW ~base:1
        ~removed_by:Category.Bw ()
    | _ -> ());
-  if i >= p.window then
-    Builder.add_edge b ~src:(np (i - p.window) C) ~dst:(n D) ~kind:CD
-      ~removed_by:Category.Win ();
+  if p.explicit_bw && i >= p.fetch_bw then
+    Builder.add_edge b ~src:(np (i - p.fetch_bw) D) ~dst:(n D) ~kind:FBW ~base:1
+      ~removed_by:Category.Bw ();
+  if i > 0 then begin
+    if prev_mispredict then
+      Builder.add_edge b ~src:(np (i - 1) P) ~dst:(n D) ~kind:PD
+        ~base:p.branch_recovery ~removed_by:Category.Bmisp ();
+    (* DD: in-order dispatch; carries the I-cache miss latency of i, and, in
+       the previous-work model, an implicit fetch-bandwidth latency *)
+    Builder.add_edge b ~src:(np (i - 1) D) ~dst:(n D) ~kind:DD ();
+    comp Category.Imiss info.imiss_delay;
+    if (not p.explicit_bw) && i mod p.fetch_bw = 0 then comp Category.Bw 1
+  end;
   (* the very first instruction has no DD edge to carry its I-cache stall;
      a node floor on its D node preserves the latency *)
   if i = 0 && info.imiss_delay > 0 then
     Builder.add_floor b ~node:(n D) ~base:0
-      ~components:(components_of_list [ (Category.Imiss, info.imiss_delay) ]);
-  (* --- D -> R --- *)
-  Builder.add_edge b ~src:(n D) ~dst:(n R) ~kind:DR ~base:1 ();
-  (* --- data dependences into R --- *)
+      ~components:[ { cat = Category.Imiss; lat = info.imiss_delay } ];
+  (* --- data dependences, then dispatch, into R --- *)
   let wakeup = p.wakeup_latency - 1 in
   let dep j =
     if j >= 0 && j < i then
       Builder.add_edge b ~src:(np j P) ~dst:(n R) ~kind:PR ~base:wakeup ()
   in
-  List.iter dep info.reg_producers;
   Option.iter dep info.mem_producer;
+  let rec deps_rev = function
+    | [] -> ()
+    | j :: rest ->
+      deps_rev rest;
+      dep j
+  in
+  deps_rev info.reg_producers;
+  Builder.add_edge b ~src:(n D) ~dst:(n R) ~kind:DR ~base:1 ();
   (* --- R -> E: contention --- *)
-  Builder.add_edge b ~src:(n R) ~dst:(n E) ~kind:RE
-    ~components:(components_of_list [ (Category.Bw, info.fu_wait) ])
-    ();
-  (* --- E -> P: execution latency --- *)
-  Builder.add_edge b ~src:(n E) ~dst:(n P) ~kind:EP ~base:info.exec_base
-    ~components:(components_of_list info.exec_components)
-    ();
-  (* --- PP: cache-line sharing --- *)
+  Builder.add_edge b ~src:(n R) ~dst:(n E) ~kind:RE ();
+  comp Category.Bw info.fu_wait;
+  (* --- PP cache-line sharing, then the E -> P execution latency --- *)
   (match info.share_src with
    | Some j when p.pp_edges && j >= 0 && j < i ->
      Builder.add_edge b ~src:(np j P) ~dst:(n P) ~kind:PP
        ~removed_by:Category.Dmiss ()
    | _ -> ());
+  Builder.add_edge b ~src:(n E) ~dst:(n P) ~kind:EP ~base:info.exec_base ();
+  List.iter (fun (cat, lat) -> comp cat lat) info.exec_components;
   (* --- commit --- *)
-  Builder.add_edge b ~src:(n P) ~dst:(n C) ~kind:PC ~base:1 ();
-  if i > 0 then begin
-    let implicit_bw =
-      if (not p.explicit_bw) && i mod p.commit_bw = 0 then [ (Category.Bw, 1) ]
-      else []
-    in
-    (* the CC edge also carries store-bandwidth contention (Fig. 5b) *)
-    Builder.add_edge b ~src:(np (i - 1) C) ~dst:(n C) ~kind:CC
-      ~components:(components_of_list ((Category.Bw, info.store_wait) :: implicit_bw))
-      ()
-  end;
   if p.explicit_bw && i >= p.commit_bw then
     Builder.add_edge b ~src:(np (i - p.commit_bw) C) ~dst:(n C) ~kind:CBW ~base:1
-      ~removed_by:Category.Bw ()
+      ~removed_by:Category.Bw ();
+  if i > 0 then begin
+    (* the CC edge also carries store-bandwidth contention (Fig. 5b) *)
+    Builder.add_edge b ~src:(np (i - 1) C) ~dst:(n C) ~kind:CC ();
+    comp Category.Bw info.store_wait;
+    if (not p.explicit_bw) && i mod p.commit_bw = 0 then comp Category.Bw 1
+  end;
+  Builder.add_edge b ~src:(n P) ~dst:(n C) ~kind:PC ~base:1 ()
 
 (** Build a graph from an array of per-instruction records. *)
 let of_infos (p : params) (infos : instr_info array) : Graph.t =
-  let b = Graph.Builder.create () in
+  let b = Graph.Builder.create ~edges:(12 * Array.length infos) () in
   let taken_hist = Queue.create () in
   Array.iteri
     (fun i info ->

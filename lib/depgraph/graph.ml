@@ -44,19 +44,26 @@ let kind_name = function D -> "D" | R -> "R" | E -> "E" | P -> "P" | C -> "C"
 
 type edge_kind = DD | FBW | CD | PD | DR | PR | RE | EP | PP | PC | CC | CBW
 
-let edge_kind_name = function
-  | DD -> "DD"
-  | FBW -> "FBW"
-  | CD -> "CD"
-  | PD -> "PD"
-  | DR -> "DR"
-  | PR -> "PR"
-  | RE -> "RE"
-  | EP -> "EP"
-  | PP -> "PP"
-  | PC -> "PC"
-  | CC -> "CC"
-  | CBW -> "CBW"
+let edge_kind_tag = function
+  | DD -> 0
+  | FBW -> 1
+  | CD -> 2
+  | PD -> 3
+  | DR -> 4
+  | PR -> 5
+  | RE -> 6
+  | EP -> 7
+  | PP -> 8
+  | PC -> 9
+  | CC -> 10
+  | CBW -> 11
+
+let edge_kinds = [| DD; FBW; CD; PD; DR; PR; RE; EP; PP; PC; CC; CBW |]
+
+let edge_kind_names =
+  [| "DD"; "FBW"; "CD"; "PD"; "DR"; "PR"; "RE"; "EP"; "PP"; "PC"; "CC"; "CBW" |]
+
+let edge_kind_name k = edge_kind_names.(edge_kind_tag k)
 
 (** A latency component owned by a category: idealizing the category zeroes
     the component. *)
@@ -73,16 +80,19 @@ type edge = {
           is idealized *)
 }
 
-(** Flat-array ("compiled") form of the edge and floor latency data,
-    precomputed at {!Builder.finish} time.  The hot evaluation loop reads
-    only unboxed [int array]s: per edge a source node, a base latency, a
-    removal bitmask (0 when no category removes the edge) and a slice of
-    (category-bitmask, latency-delta) component pairs; floors are the same
-    data sorted by node so one forward cursor replaces the per-eval
-    [Hashtbl].  Category sets are bitmasks ({!Category.Set.t} = [int]), so
-    membership tests in the inner loop are single [land]s. *)
+(** Flat-array ("compiled") form of the edge and floor latency data, the
+    only form a graph has: {!Builder} appends straight into it.  The hot
+    evaluation loops read only unboxed [int array]s: per edge, in CSR
+    order, a source node, a kind tag, a base latency, a removal bitmask (0
+    when no category removes the edge) and a slice of (category-bitmask,
+    latency) component pairs; floors are the same data sorted by node so
+    one forward cursor replaces a per-eval table.  Category sets are
+    bitmasks ({!Category.Set.t} = [int]), so membership tests in the inner
+    loops are single [land]s.  {!edges} rebuilds boxed records on demand
+    for the override and rendering paths. *)
 type compiled = {
   e_src : int array;  (** per edge, in CSR order *)
+  e_kind : int array;  (** {!edge_kind_tag} *)
   e_base : int array;
   e_removed : int array;  (** singleton category mask, or 0 *)
   e_comp_off : int array;  (** [num_edges + 1] offsets into [comp_*] *)
@@ -102,9 +112,8 @@ type compiled = {
 
 type t = {
   num_instrs : int;
-  edges : edge array;  (** sorted by [dst] *)
   first_in : int array;  (** CSR index: incoming edges of node [v] are
-                             [edges.(first_in.(v)) .. edges.(first_in.(v+1) - 1)] *)
+                             [first_in.(v) .. first_in.(v+1) - 1] *)
   floors : (int * int * component list) list;
       (** (node, base, components): minimum arrival times for nodes with no
           incoming edge to carry them (e.g. the first instruction's I-cache
@@ -113,6 +122,8 @@ type t = {
 }
 
 let num_nodes t = 5 * t.num_instrs
+
+let num_edges t = t.first_in.(num_nodes t)
 
 let node ~seq ~kind = (5 * seq) + kind_index kind
 
@@ -135,202 +146,284 @@ let edge_latency (s : Category.Set.t) (e : edge) : int option =
     in
     Some (e.base + extra)
 
+let edge_kind_of_tag n =
+  if n < 0 || n >= Array.length edge_kinds then
+    failwith (Printf.sprintf "Graph.unmarshal: bad edge kind %d" n)
+  else edge_kinds.(n)
+
 let cat_mask (c : Category.t) : int = Category.Set.singleton c
 
-let compile ~(edges : edge array) ~(floors : (int * int * component list) list)
-    : compiled =
-  let ne = Array.length edges in
-  let e_src = Array.make ne 0 in
-  let e_base = Array.make ne 0 in
-  let e_removed = Array.make ne 0 in
-  let e_comp_off = Array.make (ne + 1) 0 in
-  let ncomp =
-    Array.fold_left (fun acc e -> acc + List.length e.components) 0 edges
-  in
-  let comp_mask = Array.make (max 1 ncomp) 0 in
-  let comp_lat = Array.make (max 1 ncomp) 0 in
-  let k = ref 0 in
-  Array.iteri
-    (fun i e ->
-      e_src.(i) <- e.src;
-      e_base.(i) <- e.base;
-      e_removed.(i) <- (match e.removed_by with None -> 0 | Some c -> cat_mask c);
-      e_comp_off.(i) <- !k;
-      List.iter
-        (fun { cat; lat } ->
-          comp_mask.(!k) <- cat_mask cat;
-          comp_lat.(!k) <- lat;
-          incr k)
-        e.components)
-    edges;
-  e_comp_off.(ne) <- !k;
-  let floors =
-    List.stable_sort (fun (a, _, _) (b, _, _) -> compare (a : int) b) floors
-  in
-  let nf = List.length floors in
-  let f_node = Array.make (max 1 nf) max_int in
-  let f_base = Array.make (max 1 nf) 0 in
-  let f_off = Array.make (nf + 1) 0 in
-  let nfcomp =
-    List.fold_left (fun acc (_, _, cs) -> acc + List.length cs) 0 floors
-  in
-  let f_comp_mask = Array.make (max 1 nfcomp) 0 in
-  let f_comp_lat = Array.make (max 1 nfcomp) 0 in
-  let j = ref 0 in
-  List.iteri
-    (fun i (node, base, cs) ->
-      f_node.(i) <- node;
-      f_base.(i) <- base;
-      f_off.(i) <- !j;
-      List.iter
-        (fun { cat; lat } ->
-          f_comp_mask.(!j) <- cat_mask cat;
-          f_comp_lat.(!j) <- lat;
-          incr j)
-        cs)
-    floors;
-  f_off.(nf) <- !j;
-  let f_node = if nf = 0 then [||] else f_node in
-  let f_base = if nf = 0 then [||] else f_base in
-  let lat_bound =
-    (* a longest path visits nodes in topological order, so its length is at
-       most the sum over nodes of the largest full (no idealization)
-       incoming latency; floors only raise a node to a fixed value, so
-       adding their totals keeps the bound sound.  Negative latencies break
-       both the bound and the packed evaluator's non-negativity invariant,
-       so they poison the bound to -1. *)
-    let neg = ref false in
-    let full e =
-      if e.base < 0 then neg := true;
-      List.fold_left
-        (fun acc { lat; _ } ->
-          if lat < 0 then neg := true;
-          acc + lat)
-        e.base e.components
-    in
-    let bound = ref 0 in
-    let cur_dst = ref (-1) in
-    let cur_max = ref 0 in
-    Array.iter
-      (fun e ->
-        let l = full e in
-        if e.dst <> !cur_dst then begin
-          bound := !bound + !cur_max;
-          cur_dst := e.dst;
-          cur_max := l
-        end
-        else if l > !cur_max then cur_max := l)
-      edges;
-    bound := !bound + !cur_max;
-    List.iter
-      (fun (_, base, cs) ->
-        if base < 0 then neg := true;
-        bound :=
-          !bound
-          + List.fold_left
-              (fun acc { lat; _ } ->
-                if lat < 0 then neg := true;
-                acc + lat)
-              base cs)
-      floors;
-    if !neg then -1 else !bound
-  in
-  {
-    e_src;
-    e_base;
-    e_removed;
-    e_comp_off;
-    comp_mask;
-    comp_lat;
-    f_node;
-    f_base;
-    f_off;
-    f_comp_mask;
-    f_comp_lat;
-    lat_bound;
+let cat_of_mask m =
+  let rec go i = if 1 lsl i = m then Category.of_int i else go (i + 1) in
+  if m <= 0 || m land (m - 1) <> 0 then invalid_arg "Graph: not a category mask"
+  else go 0
+
+(* Latency of edge [k] (of floor [fi]) under [s]; removal is tested
+   separately. *)
+let[@inline] edge_lat c s k =
+  let lat = ref (Array.unsafe_get c.e_base k) in
+  for j = c.e_comp_off.(k) to c.e_comp_off.(k + 1) - 1 do
+    if c.comp_mask.(j) land s = 0 then lat := !lat + c.comp_lat.(j)
+  done;
+  !lat
+
+let floor_lat c s fi =
+  let lat = ref c.f_base.(fi) in
+  for j = c.f_off.(fi) to c.f_off.(fi + 1) - 1 do
+    if c.f_comp_mask.(j) land s = 0 then lat := !lat + c.f_comp_lat.(j)
+  done;
+  !lat
+
+(* the destination of every edge, from the CSR index *)
+let edge_dsts (t : t) : int array =
+  let dst = Array.make (num_edges t) 0 in
+  for v = 0 to num_nodes t - 1 do
+    Array.fill dst t.first_in.(v) (t.first_in.(v + 1) - t.first_in.(v)) v
+  done;
+  dst
+
+(** Boxed edge records in CSR order, rebuilt from the flat arrays. *)
+let edges (t : t) : edge array =
+  let c = t.compiled and dst = edge_dsts t in
+  Array.init (num_edges t) (fun k ->
+      let o = c.e_comp_off.(k) in
+      {
+        src = c.e_src.(k);
+        dst = dst.(k);
+        kind = edge_kinds.(c.e_kind.(k));
+        base = c.e_base.(k);
+        components =
+          List.init
+            (c.e_comp_off.(k + 1) - o)
+            (fun j -> { cat = cat_of_mask c.comp_mask.(o + j); lat = c.comp_lat.(o + j) });
+        removed_by =
+          (if c.e_removed.(k) = 0 then None else Some (cat_of_mask c.e_removed.(k)));
+      })
+
+(* ---------- building ---------- *)
+
+module Builder = struct
+  (* Edges are appended straight into the CSR arrays: destinations arrive
+     in non-decreasing order ({!Build.emit} emits instruction by
+     instruction, node kind by node kind), so a node's run is complete
+     when the first edge of a later node arrives, and the longest-path
+     bound is folded in right then. *)
+  type b = {
+    mutable n_instrs : int;
+    mutable cur : int;  (** destination of the latest edge; -1 before any *)
+    mutable ne : int;
+    mutable nc : int;
+    mutable first_in : int array;  (** valid for nodes [0, cur] *)
+    mutable src : int array;
+    mutable kind : int array;
+    mutable base : int array;
+    mutable removed : int array;
+    mutable comp_off : int array;  (** valid for [0, ne]; [comp_off.(ne) = nc] *)
+    mutable comp_mask : int array;
+    mutable comp_lat : int array;
+    mutable bound : int;  (** [lat_bound] of the closed nodes; -1 once poisoned *)
+    mutable floors : (int * int * component list) list;
   }
+
+  let create ?(edges = 1024) () =
+    let cap = max 16 edges in
+    {
+      n_instrs = 0;
+      cur = -1;
+      ne = 0;
+      nc = 0;
+      first_in = Array.make (cap / 2) 0;
+      src = Array.make cap 0;
+      kind = Array.make cap 0;
+      base = Array.make cap 0;
+      removed = Array.make cap 0;
+      comp_off = Array.make (cap + 1) 0;
+      comp_mask = Array.make (cap / 4) 0;
+      comp_lat = Array.make (cap / 4) 0;
+      bound = 0;
+      floors = [];
+    }
+
+  (* [a] with room for index [i] *)
+  let grow a i =
+    if i < Array.length a then a
+    else begin
+      let a' = Array.make (max (2 * Array.length a) (i + 1)) 0 in
+      Array.blit a 0 a' 0 (Array.length a);
+      a'
+    end
+
+  (** Constrain [node] to arrive no earlier than [base] plus the (category
+      owned) components. *)
+  let add_floor b ~node ~base ~components =
+    b.floors <- (node, base, components) :: b.floors
+
+  let note_instr b = b.n_instrs <- b.n_instrs + 1
+
+  (* Fold the closed node [cur]'s largest full (no idealization) incoming
+     latency into the bound: a longest path visits nodes in topological
+     order, so its length is at most the sum of these maxima.  Negative
+     latencies break both the bound and the packed evaluator's
+     non-negativity invariant, so they poison it to -1. *)
+  let close_node b =
+    if b.cur >= 0 && b.bound >= 0 then begin
+      let mx = ref 0 and neg = ref false in
+      for k = b.first_in.(b.cur) to b.ne - 1 do
+        let l = ref b.base.(k) in
+        if !l < 0 then neg := true;
+        for j = b.comp_off.(k) to b.comp_off.(k + 1) - 1 do
+          if b.comp_lat.(j) < 0 then neg := true;
+          l := !l + b.comp_lat.(j)
+        done;
+        if !l > !mx then mx := !l
+      done;
+      b.bound <- (if !neg then -1 else b.bound + !mx)
+    end
+
+  (* close [cur] and open every node up to [v] at the current edge count *)
+  let advance b v =
+    close_node b;
+    if v >= Array.length b.first_in then b.first_in <- grow b.first_in v;
+    for u = b.cur + 1 to v do
+      b.first_in.(u) <- b.ne
+    done;
+    b.cur <- v
+
+  let add_edge b ~src ~dst ~kind ?(base = 0) ?removed_by () =
+    if src < 0 || src >= dst then
+      invalid_arg "Graph.Builder.add_edge: edges must point forward";
+    if dst < b.cur then
+      invalid_arg "Graph.Builder.add_edge: destinations must not decrease";
+    if dst > b.cur then advance b dst;
+    let k = b.ne in
+    if k >= Array.length b.src then begin
+      b.src <- grow b.src k;
+      b.kind <- grow b.kind k;
+      b.base <- grow b.base k;
+      b.removed <- grow b.removed k;
+      b.comp_off <- grow b.comp_off (Array.length b.src)
+    end;
+    b.src.(k) <- src;
+    b.kind.(k) <- edge_kind_tag kind;
+    b.base.(k) <- base;
+    b.removed.(k) <- (match removed_by with None -> 0 | Some c -> cat_mask c);
+    b.ne <- k + 1;
+    b.comp_off.(k + 1) <- b.nc
+
+  let add_component b cat lat =
+    if b.ne = 0 then invalid_arg "Graph.Builder.add_component: no edge yet";
+    let j = b.nc in
+    if j >= Array.length b.comp_mask then begin
+      b.comp_mask <- grow b.comp_mask j;
+      b.comp_lat <- grow b.comp_lat j
+    end;
+    b.comp_mask.(j) <- cat_mask cat;
+    b.comp_lat.(j) <- lat;
+    b.nc <- j + 1;
+    b.comp_off.(b.ne) <- b.nc
+
+  let c_graphs = Telemetry.counter "graph.finished"
+  let c_nodes = Telemetry.counter "graph.nodes"
+  let c_edges = Telemetry.counter "graph.edges"
+  let c_components = Telemetry.counter "graph.edge_components"
+
+  (* Close the last node, compile the floors and hand the arrays over to
+     the graph. *)
+  let finish b : t =
+    let sp = Telemetry.start_span "graph.compile" in
+    let num_instrs = b.n_instrs in
+    let n_nodes = 5 * num_instrs in
+    if b.cur >= n_nodes then
+      invalid_arg "Graph.Builder.finish: edge past the last instruction";
+    advance b n_nodes;
+    let sorted = List.stable_sort (fun (a, _, _) (b, _, _) -> compare (a : int) b) b.floors in
+    let floors = Array.of_list sorted in
+    let comps = Array.of_list (List.concat_map (fun (_, _, cs) -> cs) sorted) in
+    let f_off = Array.make (Array.length floors + 1) 0 in
+    Array.iteri (fun i (_, _, cs) -> f_off.(i + 1) <- f_off.(i) + List.length cs) floors;
+    (* floors only raise a node to a fixed value, so adding their totals
+       keeps the bound sound *)
+    let bound =
+      Array.fold_left
+        (fun acc (_, base, cs) ->
+          let lats = base :: List.map (fun c -> c.lat) cs in
+          if acc < 0 || List.exists (fun l -> l < 0) lats then -1
+          else List.fold_left ( + ) acc lats)
+        b.bound floors
+    in
+    let g =
+      {
+        num_instrs;
+        first_in = Array.sub b.first_in 0 (n_nodes + 1);
+        floors = b.floors;
+        compiled =
+          {
+            e_src = b.src;
+            e_kind = b.kind;
+            e_base = b.base;
+            e_removed = b.removed;
+            e_comp_off = b.comp_off;
+            comp_mask = b.comp_mask;
+            comp_lat = b.comp_lat;
+            f_node = Array.map (fun (v, _, _) -> v) floors;
+            f_base = Array.map (fun (_, base, _) -> base) floors;
+            f_off;
+            f_comp_mask = Array.map (fun c -> cat_mask c.cat) comps;
+            f_comp_lat = Array.map (fun c -> c.lat) comps;
+            lat_bound = bound;
+          };
+      }
+    in
+    Telemetry.incr c_graphs;
+    Telemetry.add c_nodes n_nodes;
+    Telemetry.add c_edges b.ne;
+    Telemetry.add c_components b.nc;
+    if Telemetry.enabled () then
+      Telemetry.end_span sp
+        ~attrs:
+          [ ("instrs", string_of_int num_instrs); ("edges", string_of_int b.ne) ]
+    else Telemetry.end_span sp;
+    g
+end
 
 (* ---------- compact serialization ---------- *)
 
-let edge_kind_tag = function
-  | DD -> 0
-  | FBW -> 1
-  | CD -> 2
-  | PD -> 3
-  | DR -> 4
-  | PR -> 5
-  | RE -> 6
-  | EP -> 7
-  | PP -> 8
-  | PC -> 9
-  | CC -> 10
-  | CBW -> 11
-
-let edge_kind_of_tag = function
-  | 0 -> DD
-  | 1 -> FBW
-  | 2 -> CD
-  | 3 -> PD
-  | 4 -> DR
-  | 5 -> PR
-  | 6 -> RE
-  | 7 -> EP
-  | 8 -> PP
-  | 9 -> PC
-  | 10 -> CC
-  | 11 -> CBW
-  | n -> failwith (Printf.sprintf "Graph.unmarshal: bad edge kind %d" n)
-
-(* The derived [compiled] arrays are dropped ([unmarshal] recompiles them)
-   and the edge records are transposed into flat int arrays, so decoding
-   allocates a handful of large blocks instead of one block per edge. *)
+(* Existing icost.graphcache.v1 snapshot files fix the byte layout:
+   per-edge arrays (empty ones sized to one slot), categories as
+   {!Category.to_int} indices with -1 for "never removed", and the floor
+   list verbatim. *)
 let marshal (g : t) : string =
-  let ne = Array.length g.edges in
-  let src = Array.make (max 1 ne) 0
-  and dst = Array.make (max 1 ne) 0
-  and kindi = Array.make (max 1 ne) 0
-  and base = Array.make (max 1 ne) 0
-  and removed = Array.make (max 1 ne) 0
-  and comp_off = Array.make (ne + 1) 0 in
-  let ncomp =
-    Array.fold_left (fun acc e -> acc + List.length e.components) 0 g.edges
+  let c = g.compiled in
+  let ne = num_edges g in
+  let nc = c.e_comp_off.(ne) in
+  let padded n f =
+    let a = Array.make (max 1 n) 0 in
+    for i = 0 to n - 1 do
+      a.(i) <- f i
+    done;
+    a
   in
-  let comp_cat = Array.make (max 1 ncomp) 0
-  and comp_lat = Array.make (max 1 ncomp) 0 in
-  let k = ref 0 in
-  Array.iteri
-    (fun i e ->
-      src.(i) <- e.src;
-      dst.(i) <- e.dst;
-      kindi.(i) <- edge_kind_tag e.kind;
-      base.(i) <- e.base;
-      removed.(i) <-
-        (match e.removed_by with None -> -1 | Some c -> Category.to_int c);
-      comp_off.(i) <- !k;
-      List.iter
-        (fun { cat; lat } ->
-          comp_cat.(!k) <- Category.to_int cat;
-          comp_lat.(!k) <- lat;
-          incr k)
-        e.components)
-    g.edges;
-  comp_off.(ne) <- !k;
+  let dst = edge_dsts g in
+  let cat_index m = if m = 0 then -1 else Category.to_int (cat_of_mask m) in
   Marshal.to_string
     ( g.num_instrs,
       ne,
-      src,
-      dst,
-      kindi,
-      base,
-      removed,
-      comp_off,
-      comp_cat,
-      comp_lat,
+      padded ne (Array.get c.e_src),
+      padded ne (Array.get dst),
+      padded ne (Array.get c.e_kind),
+      padded ne (Array.get c.e_base),
+      padded ne (fun k -> cat_index c.e_removed.(k)),
+      Array.sub c.e_comp_off 0 (ne + 1),
+      padded nc (fun j -> cat_index c.comp_mask.(j)),
+      padded nc (Array.get c.comp_lat),
       g.first_in,
       g.floors )
     []
 
+(* Decoding replays the edges into a {!Builder} in CSR order, which
+   reproduces the CSR arrays, the floor list and the bound exactly. *)
 let unmarshal (s : string) : t =
+  let malformed () = failwith "Graph.unmarshal: malformed bytes" in
   let ( num_instrs,
         ne,
         src,
@@ -341,7 +434,7 @@ let unmarshal (s : string) : t =
         comp_off,
         comp_cat,
         comp_lat,
-        first_in,
+        _first_in,
         floors ) =
     try
       (Marshal.from_string s 0
@@ -357,169 +450,71 @@ let unmarshal (s : string) : t =
           * int array
           * int array
           * (int * int * component list) list)
-    with Failure _ -> failwith "Graph.unmarshal: malformed bytes"
+    with Failure _ -> malformed ()
   in
-  if
-    ne < 0
-    || Array.length src < ne
-    || Array.length dst < ne
-    || Array.length kindi < ne
-    || Array.length base < ne
-    || Array.length removed < ne
-    || Array.length comp_off < ne + 1
-    || comp_off.(ne) > Array.length comp_cat
-    || comp_off.(ne) > Array.length comp_lat
-  then failwith "Graph.unmarshal: malformed bytes";
-  let edges =
-    try
-      Array.init ne (fun i ->
-          let comps = ref [] in
-          for k = comp_off.(i + 1) - 1 downto comp_off.(i) do
-            comps :=
-              { cat = Category.of_int comp_cat.(k); lat = comp_lat.(k) }
-              :: !comps
-          done;
-          {
-            src = src.(i);
-            dst = dst.(i);
-            kind = edge_kind_of_tag kindi.(i);
-            base = base.(i);
-            components = !comps;
-            removed_by =
-              (if removed.(i) < 0 then None
-               else Some (Category.of_int removed.(i)));
-          })
-    with Invalid_argument _ -> failwith "Graph.unmarshal: malformed bytes"
-  in
-  { num_instrs; edges; first_in; floors; compiled = compile ~edges ~floors }
-
-(* ---------- building ---------- *)
-
-module Builder = struct
-  type b = {
-    mutable edge_buf : edge list;
-    mutable n_edges : int;
-    mutable n_instrs : int;
-    mutable floors : (int * int * component list) list;
-  }
-
-  let create () = { edge_buf = []; n_edges = 0; n_instrs = 0; floors = [] }
-
-  (** Constrain [node] to arrive no earlier than [base] plus the (category
-      owned) components. *)
-  let add_floor b ~node ~base ~components =
-    b.floors <- (node, base, components) :: b.floors
-
-  let add_edge b ~src ~dst ~kind ?(base = 0) ?(components = []) ?removed_by () =
-    assert (src < dst);
-    b.edge_buf <- { src; dst; kind; base; components; removed_by } :: b.edge_buf;
-    b.n_edges <- b.n_edges + 1
-
-  let note_instr b = b.n_instrs <- b.n_instrs + 1
-
-  let c_graphs = Telemetry.counter "graph.finished"
-  let c_nodes = Telemetry.counter "graph.nodes"
-  let c_edges = Telemetry.counter "graph.edges"
-  let c_components = Telemetry.counter "graph.edge_components"
-
-  (** Finalize into CSR form (counting sort of edges by destination). *)
-  let finish b : t =
-    let sp = Telemetry.start_span "graph.compile" in
-    let num_instrs = b.n_instrs in
-    let n_nodes = 5 * num_instrs in
-    let counts = Array.make (n_nodes + 1) 0 in
-    List.iter (fun e -> counts.(e.dst + 1) <- counts.(e.dst + 1) + 1) b.edge_buf;
-    for v = 1 to n_nodes do
-      counts.(v) <- counts.(v) + counts.(v - 1)
+  if ne < 0 then malformed ();
+  (* short arrays surface as out-of-bounds [Invalid_argument]s *)
+  try
+    let b = Builder.create ~edges:ne () in
+    for _ = 1 to num_instrs do
+      Builder.note_instr b
     done;
-    let first_in = Array.copy counts in
-    let dummy =
-      { src = 0; dst = 0; kind = DD; base = 0; components = []; removed_by = None }
-    in
-    let edges = Array.make b.n_edges dummy in
-    let cursor = Array.copy first_in in
+    for k = 0 to ne - 1 do
+      Builder.add_edge b ~src:src.(k) ~dst:dst.(k) ~kind:(edge_kind_of_tag kindi.(k))
+        ~base:base.(k)
+        ?removed_by:(if removed.(k) < 0 then None else Some (Category.of_int removed.(k)))
+        ();
+      for j = comp_off.(k) to comp_off.(k + 1) - 1 do
+        Builder.add_component b (Category.of_int comp_cat.(j)) comp_lat.(j)
+      done
+    done;
     List.iter
-      (fun e ->
-        edges.(cursor.(e.dst)) <- e;
-        cursor.(e.dst) <- cursor.(e.dst) + 1)
-      b.edge_buf;
-    let compiled = compile ~edges ~floors:b.floors in
-    Telemetry.incr c_graphs;
-    Telemetry.add c_nodes n_nodes;
-    Telemetry.add c_edges b.n_edges;
-    Telemetry.add c_components (Array.length compiled.comp_mask);
-    if Telemetry.enabled () then
-      Telemetry.end_span sp
-        ~attrs:
-          [
-            ("instrs", string_of_int num_instrs);
-            ("edges", string_of_int b.n_edges);
-          ]
-    else Telemetry.end_span sp;
-    { num_instrs; edges; first_in; floors = b.floors; compiled }
-end
+      (fun (node, base, components) -> Builder.add_floor b ~node ~base ~components)
+      (List.rev floors);
+    Builder.finish b
+  with Invalid_argument _ -> malformed ()
 
 (* ---------- evaluation ---------- *)
 
-(* Generic (boxed) evaluation, only used when an [override] needs to
-   inspect full edge records. *)
-let eval_generic ~(ideal : Category.Set.t) ~(override : edge -> int option)
-    (t : t) : int array =
-  let n = num_nodes t in
-  let time = Array.make n 0 in
-  let floor = Hashtbl.create 4 in
-  List.iter
-    (fun (node, base, components) ->
-      let lat =
-        List.fold_left
-          (fun acc { cat; lat } ->
-            if Category.Set.mem cat ideal then acc else acc + lat)
-          base components
-      in
-      Hashtbl.replace floor node
-        (max lat (Option.value ~default:0 (Hashtbl.find_opt floor node))))
-    t.floors;
-  for v = 0 to n - 1 do
-    let lo = t.first_in.(v) and hi = t.first_in.(v + 1) in
-    let best = ref 0 in
-    for k = lo to hi - 1 do
-      let e = t.edges.(k) in
-      let lat =
-        match override e with Some l -> Some l | None -> edge_latency ideal e
-      in
-      match lat with
-      | None -> ()
-      | Some lat ->
-        let cand = time.(e.src) + lat in
-        if cand > !best then best := cand
-    done;
-    (match Hashtbl.find_opt floor v with
-     | Some f when f > !best -> best := f
-     | _ -> ());
-    time.(v) <- !best
-  done;
-  time
+(* [t] with [override] applied to copies of its latency arrays: an
+   overridden edge is never removed and carries exactly the given
+   latency. *)
+let with_override (t : t) (override : edge -> int option) : t =
+  let c = t.compiled in
+  let e_base = Array.copy c.e_base and e_removed = Array.copy c.e_removed in
+  let comp_lat = Array.copy c.comp_lat in
+  Array.iteri
+    (fun k e ->
+      Option.iter
+        (fun l ->
+          e_base.(k) <- l;
+          e_removed.(k) <- 0;
+          Array.fill comp_lat c.e_comp_off.(k) (c.e_comp_off.(k + 1) - c.e_comp_off.(k)) 0)
+        (override e))
+    (edges t);
+  { t with compiled = { c with e_base; e_removed; comp_lat; lat_bound = -1 } }
 
-(** [eval_into ?ideal t time] fills [time] (length >= [num_nodes t]) with
-    the arrival time of every node under the idealization, in one
-    topological pass over the compiled arrays, allocating nothing.  The
-    inner loop is the hot path of every graph-backed cost query: a subset
-    sweep calls it once per category subset on one scratch buffer. *)
-let c_evals = Telemetry.counter "graph.evals"
-
-let eval_into ?(ideal = Category.Set.empty) (t : t) (time : int array) : unit =
-  let n = num_nodes t in
-  if Array.length time < n then invalid_arg "Graph.eval_into: buffer too short";
-  (* single branch + atomic add; keeps this path allocation-free *)
-  Telemetry.incr c_evals;
-  let s : int = ideal in
+(* The scalar max-plus recurrence under one idealization [s], over nodes
+   [n_pinned, num_nodes t): [time] already holds the pinned prefix, and
+   [ext] (sorted by node) adds per-subset lower bounds, read at index
+   [lane] of each row.  Every edge points forward, so one pass in node
+   order is a topological sweep. *)
+let eval_range (t : t) (s : Category.Set.t) (time : int array) ~n_pinned
+    ~(ext : (int * int array) array) ~lane : unit =
   let c = t.compiled in
   let nf = Array.length c.f_node in
   let fi = ref 0 in
-  for v = 0 to n - 1 do
+  while !fi < nf && c.f_node.(!fi) < n_pinned do
+    incr fi
+  done;
+  let nx = Array.length ext in
+  let xi = ref 0 in
+  while !xi < nx && fst ext.(!xi) < n_pinned do
+    incr xi
+  done;
+  for v = n_pinned to num_nodes t - 1 do
     let best = ref 0 in
-    let hi = t.first_in.(v + 1) in
-    for k = t.first_in.(v) to hi - 1 do
+    for k = t.first_in.(v) to t.first_in.(v + 1) - 1 do
       if c.e_removed.(k) land s = 0 then begin
         let lat = ref c.e_base.(k) in
         for j = c.e_comp_off.(k) to c.e_comp_off.(k + 1) - 1 do
@@ -530,15 +525,31 @@ let eval_into ?(ideal = Category.Set.empty) (t : t) (time : int array) : unit =
       end
     done;
     while !fi < nf && c.f_node.(!fi) = v do
-      let lat = ref c.f_base.(!fi) in
-      for j = c.f_off.(!fi) to c.f_off.(!fi + 1) - 1 do
-        if c.f_comp_mask.(j) land s = 0 then lat := !lat + c.f_comp_lat.(j)
-      done;
-      if !lat > !best then best := !lat;
+      let lat = floor_lat c s !fi in
+      if lat > !best then best := lat;
       incr fi
+    done;
+    while !xi < nx && fst ext.(!xi) = v do
+      let lat = (snd ext.(!xi)).(lane) in
+      if lat > !best then best := lat;
+      incr xi
     done;
     time.(v) <- !best
   done
+
+(** [eval_into ?ideal t time] fills [time] (length >= [num_nodes t]) with
+    the arrival time of every node under the idealization, in one
+    topological pass over the compiled arrays, allocating nothing.  The
+    inner loop is the hot path of every scalar graph-backed cost query and
+    of the {!eval_subsets_scalar} reference. *)
+let c_evals = Telemetry.counter "graph.evals"
+
+let eval_into ?(ideal = Category.Set.empty) (t : t) (time : int array) : unit =
+  if Array.length time < num_nodes t then
+    invalid_arg "Graph.eval_into: buffer too short";
+  (* single branch + atomic add; keeps this path allocation-free *)
+  Telemetry.incr c_evals;
+  eval_range t ideal time ~n_pinned:0 ~ext:[||] ~lane:0
 
 (** [eval ?ideal ?override t] computes the arrival time of every node under
     the given idealization (default: none), in one topological pass.  All
@@ -550,12 +561,10 @@ let eval_into ?(ideal = Category.Set.empty) (t : t) (time : int array) : unit =
     cost).  Without an override the query runs on the compiled flat-array
     representation. *)
 let eval ?(ideal = Category.Set.empty) ?override (t : t) : int array =
-  match override with
-  | Some override -> eval_generic ~ideal ~override t
-  | None ->
-    let time = Array.make (num_nodes t) 0 in
-    eval_into ~ideal t time;
-    time
+  let t = match override with Some o -> with_override t o | None -> t in
+  let time = Array.make (num_nodes t) 0 in
+  eval_into ~ideal t time;
+  time
 
 (** Critical-path length: arrival time of the last C node (plus one cycle to
     retire it), i.e. the modeled execution time. *)
@@ -596,350 +605,141 @@ let eval_subsets_scalar (t : t) (sets : Category.Set.t array) : int array =
 let max_lanes = 64
 
 let c_sliced = Telemetry.counter "graph.sliced_evals"
+let c_wide = Telemetry.counter "graph.wide_evals"
+let c_scalar = Telemetry.counter "graph.scalar_fallbacks"
 
-(* One bit-sliced topological pass pricing [nl] subsets
-   ([sets.(lo) .. sets.(lo + nl - 1)]) at once.  [slab] holds the
-   arrival-time vector of every node, node-major with stride [nl]
-   (lane [l] of node [v] lives at [slab.(v * nl + l)]); [latbuf] and
-   [lset] are per-pass scratch of length >= [nl].
-
-   Each lane runs exactly the max-plus recurrence of {!eval_into} — the
-   same edges in the same order with the same integer latencies — so per
-   lane the result is identical to a scalar pass by construction.  All
-   per-lane decisions are made branch-free: [ktab.(mask)] is a per-chunk
-   row of keep masks, [-1] in lane [l] when [mask] is NOT idealized in
-   that lane (the component contributes / the edge survives) and [0]
-   when it is, so component sums become [d land row.(l)] accumulations
-   and removal becomes an [land] on the candidate delta.  The max-plus
-   update itself is the branch-free
-   [cur + (d land lnot (d asr 62))] (adds [d] only when positive, i.e.
-   [max cur (cur + d)] on 63-bit ints), because the taken/not-taken
-   pattern of a compare-and-store max is data-dependent noise that
-   mispredicts; removing it is what lets a lane update retire in a few
-   ALU ops.  [ktab] only needs rows for masks the compiler emits:
-   singleton category masks ([compile] builds every component and
-   removal mask with [cat_mask]) plus row 0 (all [-1]) for
-   never-removed edges. *)
-let eval_chunk (t : t) (sets : Category.Set.t array) ~lo ~nl
-    ~(slab : int array) ~(latbuf : int array) ~(lset : int array)
-    ~(ktab : int array array) (out : int array) : unit =
-  let n = num_nodes t in
-  let c = t.compiled in
-  let nf = Array.length c.f_node in
-  for l = 0 to nl - 1 do
-    lset.(l) <- sets.(lo + l)
-  done;
-  for ci = 0 to Category.count - 1 do
-    let mask = 1 lsl ci in
-    let row = ktab.(mask) in
-    for l = 0 to nl - 1 do
-      row.(l) <- (if mask land lset.(l) = 0 then -1 else 0)
-    done
-  done;
-  let fi = ref 0 in
-  for v = 0 to n - 1 do
-    (* node [v]'s lane vector is maximized in place in the slab; no edge
-       is a self-loop (src < dst), so reads of [soff + l] never alias it *)
-    let boff = v * nl in
-    (* manual zeroing: [Array.fill] is a C call, too heavy per node *)
-    for l = 0 to nl - 1 do
-      Array.unsafe_set slab (boff + l) 0
-    done;
-    let hi = t.first_in.(v + 1) in
-    for k = t.first_in.(v) to hi - 1 do
-      let rm = Array.unsafe_get c.e_removed k in
-      let base = Array.unsafe_get c.e_base k in
-      let o0 = Array.unsafe_get c.e_comp_off k in
-      let o1 = Array.unsafe_get c.e_comp_off (k + 1) in
-      let soff = Array.unsafe_get c.e_src k * nl in
-      if o0 = o1 then
-        if rm = 0 then
-          (* latency identical in every lane: pure streaming max *)
-          for l = 0 to nl - 1 do
-            let cur = Array.unsafe_get slab (boff + l) in
-            let d = Array.unsafe_get slab (soff + l) + base - cur in
-            Array.unsafe_set slab (boff + l) (cur + (d land lnot (d asr 62)))
-          done
-        else begin
-          (* removable, constant latency (CD/FBW/CBW): masking the delta
-             with the keep row suppresses the candidate in idealized
-             lanes *)
-          let row = Array.unsafe_get ktab rm in
-          for l = 0 to nl - 1 do
-            let cur = Array.unsafe_get slab (boff + l) in
-            let d =
-              (Array.unsafe_get slab (soff + l) + base - cur)
-              land Array.unsafe_get row l
-            in
-            Array.unsafe_set slab (boff + l) (cur + (d land lnot (d asr 62)))
-          done
-        end
-      else if rm = 0 && o0 + 1 = o1 then begin
-        (* one component, never removed: fold the component through its
-           keep row inline *)
-        let crow = Array.unsafe_get ktab (Array.unsafe_get c.comp_mask o0) in
-        let d0 = Array.unsafe_get c.comp_lat o0 in
-        for l = 0 to nl - 1 do
-          let cur = Array.unsafe_get slab (boff + l) in
-          let d =
-            Array.unsafe_get slab (soff + l)
-            + base
-            + (d0 land Array.unsafe_get crow l)
-            - cur
-          in
-          Array.unsafe_set slab (boff + l) (cur + (d land lnot (d asr 62)))
-        done
-      end
-      else begin
-        (* general: accumulate per-lane latency component-major, so the
-           component data is read once per edge instead of once per
-           lane; [ktab.(0)] is all [-1], so never-removed edges flow
-           through the same removal mask unchanged *)
-        Array.fill latbuf 0 nl base;
-        for j = o0 to o1 - 1 do
-          let crow = Array.unsafe_get ktab (Array.unsafe_get c.comp_mask j) in
-          let d = Array.unsafe_get c.comp_lat j in
-          for l = 0 to nl - 1 do
-            Array.unsafe_set latbuf l
-              (Array.unsafe_get latbuf l + (d land Array.unsafe_get crow l))
-          done
-        done;
-        let rrow = Array.unsafe_get ktab rm in
-        for l = 0 to nl - 1 do
-          let cur = Array.unsafe_get slab (boff + l) in
-          let d =
-            (Array.unsafe_get slab (soff + l) + Array.unsafe_get latbuf l - cur)
-            land Array.unsafe_get rrow l
-          in
-          Array.unsafe_set slab (boff + l) (cur + (d land lnot (d asr 62)))
-        done
-      end
-    done;
-    while !fi < nf && c.f_node.(!fi) = v do
-      let fb = c.f_base.(!fi) in
-      let j0 = c.f_off.(!fi) and j1 = c.f_off.(!fi + 1) in
-      Array.fill latbuf 0 nl fb;
-      for j = j0 to j1 - 1 do
-        let crow = Array.unsafe_get ktab (Array.unsafe_get c.f_comp_mask j) in
-        let d = Array.unsafe_get c.f_comp_lat j in
-        for l = 0 to nl - 1 do
-          Array.unsafe_set latbuf l
-            (Array.unsafe_get latbuf l + (d land Array.unsafe_get crow l))
-        done
-      done;
-      for l = 0 to nl - 1 do
-        let cur = Array.unsafe_get slab (boff + l) in
-        let d = Array.unsafe_get latbuf l - cur in
-        Array.unsafe_set slab (boff + l) (cur + (d land lnot (d asr 62)))
-      done;
-      incr fi
-    done
-  done;
-  let soff = node ~seq:(t.num_instrs - 1) ~kind:C * nl in
-  for l = 0 to nl - 1 do
-    out.(lo + l) <- slab.(soff + l) + 1
-  done
-
-(* ---------- pinned-prefix lanes (streaming fragments) ---------- *)
-
-(* Variant of {!eval_chunk} for segment fragments: the first [n_pinned]
-   nodes are boundary nodes whose per-lane arrival times were computed by
-   the previous segment and are loaded verbatim instead of evaluated
-   (their in-edge lists are empty by construction), and [ext_floors]
-   injects per-lane lower bounds for edges whose source fell off the
-   pinned prefix (register/store/line producers older than the boundary).
-   Because every edge satisfies [src < dst], continuing the max-plus
-   recurrence from pinned absolute times is exactly the monolithic
-   evaluation restarted mid-graph — streaming is bit-exact, not
-   approximate.  The caller keeps the whole [slab] (node-major, stride
-   [nl]) to extract the next segment's carries; no [out] row is written.
-
-   [pinned] is node-major with stride [pin_stride] and lane offset [lo]
-   (so carries can be stored once for all 256 subsets and evaluated in
-   32-lane chunks); [ext_floors] rows use the same [lo] offset and must be
-   sorted by node. *)
-let eval_lanes_pinned (t : t) (sets : Category.Set.t array) ~lo ~nl
-    ~(n_pinned : int) ~(pinned : int array) ~(pin_stride : int)
-    ~(ext_floors : (int * int array) array) ~(latbuf : int array)
-    ~(lset : int array) ~(ktab : int array array) ~(slab : int array) : unit =
-  let n = num_nodes t in
-  let c = t.compiled in
-  let nf = Array.length c.f_node in
-  for l = 0 to nl - 1 do
-    lset.(l) <- sets.(lo + l)
-  done;
-  for ci = 0 to Category.count - 1 do
-    let mask = 1 lsl ci in
-    let row = ktab.(mask) in
-    for l = 0 to nl - 1 do
-      row.(l) <- (if mask land lset.(l) = 0 then -1 else 0)
-    done
-  done;
-  for v = 0 to n_pinned - 1 do
-    let boff = v * nl and poff = (v * pin_stride) + lo in
-    for l = 0 to nl - 1 do
-      Array.unsafe_set slab (boff + l) (Array.unsafe_get pinned (poff + l))
-    done
-  done;
-  let fi = ref 0 in
-  while !fi < nf && c.f_node.(!fi) < n_pinned do incr fi done;
-  let nef = Array.length ext_floors in
-  let efi = ref 0 in
-  while !efi < nef && fst ext_floors.(!efi) < n_pinned do incr efi done;
-  for v = n_pinned to n - 1 do
-    let boff = v * nl in
-    for l = 0 to nl - 1 do
-      Array.unsafe_set slab (boff + l) 0
-    done;
-    let hi = t.first_in.(v + 1) in
-    for k = t.first_in.(v) to hi - 1 do
-      let rm = Array.unsafe_get c.e_removed k in
-      let base = Array.unsafe_get c.e_base k in
-      let o0 = Array.unsafe_get c.e_comp_off k in
-      let o1 = Array.unsafe_get c.e_comp_off (k + 1) in
-      let soff = Array.unsafe_get c.e_src k * nl in
-      if o0 = o1 then
-        if rm = 0 then
-          for l = 0 to nl - 1 do
-            let cur = Array.unsafe_get slab (boff + l) in
-            let d = Array.unsafe_get slab (soff + l) + base - cur in
-            Array.unsafe_set slab (boff + l) (cur + (d land lnot (d asr 62)))
-          done
-        else begin
-          let row = Array.unsafe_get ktab rm in
-          for l = 0 to nl - 1 do
-            let cur = Array.unsafe_get slab (boff + l) in
-            let d =
-              (Array.unsafe_get slab (soff + l) + base - cur)
-              land Array.unsafe_get row l
-            in
-            Array.unsafe_set slab (boff + l) (cur + (d land lnot (d asr 62)))
-          done
-        end
-      else if rm = 0 && o0 + 1 = o1 then begin
-        let crow = Array.unsafe_get ktab (Array.unsafe_get c.comp_mask o0) in
-        let d0 = Array.unsafe_get c.comp_lat o0 in
-        for l = 0 to nl - 1 do
-          let cur = Array.unsafe_get slab (boff + l) in
-          let d =
-            Array.unsafe_get slab (soff + l)
-            + base
-            + (d0 land Array.unsafe_get crow l)
-            - cur
-          in
-          Array.unsafe_set slab (boff + l) (cur + (d land lnot (d asr 62)))
-        done
-      end
-      else begin
-        Array.fill latbuf 0 nl base;
-        for j = o0 to o1 - 1 do
-          let crow = Array.unsafe_get ktab (Array.unsafe_get c.comp_mask j) in
-          let d = Array.unsafe_get c.comp_lat j in
-          for l = 0 to nl - 1 do
-            Array.unsafe_set latbuf l
-              (Array.unsafe_get latbuf l + (d land Array.unsafe_get crow l))
-          done
-        done;
-        let rrow = Array.unsafe_get ktab rm in
-        for l = 0 to nl - 1 do
-          let cur = Array.unsafe_get slab (boff + l) in
-          let d =
-            (Array.unsafe_get slab (soff + l) + Array.unsafe_get latbuf l - cur)
-            land Array.unsafe_get rrow l
-          in
-          Array.unsafe_set slab (boff + l) (cur + (d land lnot (d asr 62)))
-        done
-      end
-    done;
-    while !fi < nf && c.f_node.(!fi) = v do
-      let fb = c.f_base.(!fi) in
-      let j0 = c.f_off.(!fi) and j1 = c.f_off.(!fi + 1) in
-      Array.fill latbuf 0 nl fb;
-      for j = j0 to j1 - 1 do
-        let crow = Array.unsafe_get ktab (Array.unsafe_get c.f_comp_mask j) in
-        let d = Array.unsafe_get c.f_comp_lat j in
-        for l = 0 to nl - 1 do
-          Array.unsafe_set latbuf l
-            (Array.unsafe_get latbuf l + (d land Array.unsafe_get crow l))
-        done
-      done;
-      for l = 0 to nl - 1 do
-        let cur = Array.unsafe_get slab (boff + l) in
-        let d = Array.unsafe_get latbuf l - cur in
-        Array.unsafe_set slab (boff + l) (cur + (d land lnot (d asr 62)))
-      done;
-      incr fi
-    done;
-    while !efi < nef && fst ext_floors.(!efi) = v do
-      let row = snd ext_floors.(!efi) in
-      for l = 0 to nl - 1 do
-        let cur = Array.unsafe_get slab (boff + l) in
-        let d = Array.unsafe_get row (lo + l) - cur in
-        Array.unsafe_set slab (boff + l) (cur + (d land lnot (d asr 62)))
-      done;
-      incr efi
-    done
-  done
-
-(* ---------- packed (SWAR) lanes ---------- *)
-
-(* When the compiled graph can prove every arrival time stays below 2^20
-   ([lat_bound]), three lanes share one 63-bit word: 21-bit fields at bits
-   0/21/42, each a 20-bit value plus one guard bit.  All lane values are
-   non-negative and bounded, so field sums never carry across field
-   boundaries, and a word-wide max costs ~8 ALU ops for 3 lanes:
+(* Lanes are packed [fpw] to a 63-bit int in [fw]-bit fields, each a
+   [fw - 1]-bit value plus one guard bit: 3 x 21 when every value fits 20
+   bits, 2 x 31 when it fits 30.  Values are non-negative and bounded, so
+   field sums never carry across field boundaries, and a word-wide max
+   costs ~8 ALU ops for all of its lanes (H = the guard bits):
 
      m  = ((cand | H) - cur) & H     guard of each field survives the
                                      subtract iff cand >= cur there
-     fm = m - (m >> 20)              expand surviving guards to 0xFFFFF
+     fm = m - (m >> (fw - 1))        expand surviving guards to value masks
      max = (cand & fm) | (cur & ~fm)
 
-   Keep rows hold per-field VALUE masks (0xFFFFF when the category is not
+   Keep rows hold per-field VALUE masks (all ones when the category is not
    idealized in that lane, 0 when it is), so component contributions are
-   [(lat * sw_rep) land row] and removal masks the whole candidate to 0
+   [(lat * rep) land row] and removal masks the whole candidate to 0
    (sound because times are non-negative, so max(cur, 0) = cur). *)
+type layout = { fw : int; fpw : int; rep : int (** 1 in every field *) }
 
-let sw_vmax = (1 lsl 20) - 1
-let sw_rep = 1 lor (1 lsl 21) lor (1 lsl 42)
-let sw_high = (sw_vmax + 1) * sw_rep
-let sw_keep = sw_vmax * sw_rep
+let narrow = { fw = 21; fpw = 3; rep = 1 lor (1 lsl 21) lor (1 lsl 42) }
+let wide = { fw = 31; fpw = 2; rep = 1 lor (1 lsl 31) }
+let vmax lay = (1 lsl (lay.fw - 1)) - 1
 
-let[@inline always] sw_max cur cand =
-  let m = ((cand lor sw_high) - cur) land sw_high in
-  let fm = m - (m lsr 20) in
+let[@inline always] pmax ~high ~sh cur cand =
+  let m = ((cand lor high) - cur) land high in
+  let fm = m - (m lsr sh) in
   cand land fm lor (cur land lnot fm)
 
-(* Packed twin of {!eval_chunk}: [nl] lanes in [pw = ceil (nl / 3)] words
-   per node.  The lane vector is padded to whole words with copies of the
-   last subset, so padding fields run a real lane's recurrence and the
-   overflow bound covers them; only [nl] results are unpacked.  A node's
-   first in-edge stores its candidate directly (candidates are
-   non-negative, so the store doubles as the zero-init), which drops both
-   the per-node zero fill and one max per node. *)
-let eval_chunk_swar (t : t) (sets : Category.Set.t array) ~lo ~nl
-    ~(slab : int array) ~(latbuf : int array) ~(lset : int array)
-    ~(ktab : int array array) (out : int array) : unit =
-  let n = num_nodes t in
+(* Per-job scratch: the node-major slab ([pw] words per node), a per-word
+   latency accumulator, the set index priced by each field and the keep
+   rows, one per singleton category mask plus a shared all-keep row for
+   mask 0 (the only other mask the builder emits). *)
+type scratch = {
+  slab : int array;
+  latbuf : int array;
+  lane : int array;
+  ktab : int array array;
+}
+
+let make_scratch lay slab pw =
+  let keep_all = Array.make pw (vmax lay * lay.rep) in
+  let ktab = Array.make (1 lsl Category.count) keep_all in
+  for ci = 0 to Category.count - 1 do
+    ktab.(1 lsl ci) <- Array.make pw 0
+  done;
+  { slab; latbuf = Array.make pw 0; lane = Array.make (lay.fpw * pw) 0; ktab }
+
+(** Recycled evaluation slabs, so a caller that evaluates many graphs
+    (a streamed run's segments) holds at most one slab per pool job. *)
+type workspace = { mu : Mutex.t; mutable free : int array list }
+
+let workspace () = { mu = Mutex.create (); free = [] }
+
+let take_slab ws len =
+  Mutex.lock ws.mu;
+  let a = match ws.free with a :: tl -> ws.free <- tl; a | [] -> [||] in
+  Mutex.unlock ws.mu;
+  if Array.length a >= len then a else Array.make len 0
+
+let give_slab ws a =
+  Mutex.lock ws.mu;
+  ws.free <- a :: ws.free;
+  Mutex.unlock ws.mu
+
+(* One bit-sliced topological pass pricing the [nl] subsets
+   [sets.(idx.(lo + l))] at once, [lay.fpw] lanes per word in
+   [pw = ceil (nl / fpw)] words per node.  The lane vector is padded to
+   whole words with copies of the last subset, so padding fields run a
+   real lane's recurrence and the overflow bound covers them.
+
+   Each lane runs exactly the max-plus recurrence of {!eval_range} -- the
+   same edges in the same order with the same integer latencies -- on
+   times rebased by the lane's offset [off.(i)] (see {!eval_pinned}).  The
+   first [n_pinned] nodes are loaded from [pinned] (absolute times,
+   node-major, stride [Array.length sets]) instead of evaluated.  A
+   node's first in-edge stores its candidate directly (rebased candidates
+   are non-negative, so the store doubles as the zero-init).  Floors,
+   compiled and external, are rebased per field and clamped at 0.  Each
+   [extract] entry [(node, dst, doff)] receives the node's absolute time
+   under [sets.(i)] in [dst.(doff + i)], for each priced [i]. *)
+let eval_chunk (lay : layout) (t : t) (sets : Category.Set.t array) ~idx ~lo ~nl
+    ~n_pinned ~(pinned : int array) ~(ext : (int * int array) array)
+    ~(off : int array) ~(extract : (int * int array * int) array)
+    (sc : scratch) : unit =
+  let n = num_nodes t and m = Array.length sets in
   let c = t.compiled in
-  let nf = Array.length c.f_node in
-  let pw = (nl + 2) / 3 in
-  for l = 0 to (3 * pw) - 1 do
-    lset.(l) <- sets.(lo + min l (nl - 1))
+  let fw = lay.fw and fpw = lay.fpw in
+  let sh = fw - 1 in
+  let vmax = vmax lay and rep = lay.rep in
+  let high = (vmax + 1) * rep in
+  let pw = (nl + fpw - 1) / fpw in
+  let { slab; latbuf; lane; ktab } = sc in
+  for f = 0 to (fpw * pw) - 1 do
+    lane.(f) <- idx.(lo + Int.min f (nl - 1))
   done;
   for ci = 0 to Category.count - 1 do
     let mask = 1 lsl ci in
     let row = ktab.(mask) in
     for w = 0 to pw - 1 do
       let r = ref 0 in
-      for f = 0 to 2 do
-        if mask land lset.((3 * w) + f) = 0 then
-          r := !r lor (sw_vmax lsl (21 * f))
+      for f = 0 to fpw - 1 do
+        if mask land sets.(lane.((fpw * w) + f)) = 0 then
+          r := !r lor (vmax lsl (fw * f))
       done;
       row.(w) <- !r
     done
   done;
+  (* raise node [v]'s fields to the non-negative values [value field] *)
+  let raise_to v value =
+    for w = 0 to pw - 1 do
+      let r = ref 0 in
+      for f = 0 to fpw - 1 do
+        r := !r lor (value ((fpw * w) + f) lsl (fw * f))
+      done;
+      slab.((v * pw) + w) <- pmax ~high ~sh slab.((v * pw) + w) !r
+    done
+  in
+  for v = 0 to n_pinned - 1 do
+    Array.fill slab (v * pw) pw 0;
+    raise_to v (fun f ->
+        let i = lane.(f) in
+        pinned.((v * m) + i) - off.(i))
+  done;
+  let nf = Array.length c.f_node in
   let fi = ref 0 in
-  for v = 0 to n - 1 do
+  while !fi < nf && c.f_node.(!fi) < n_pinned do
+    incr fi
+  done;
+  let nx = Array.length ext in
+  let xi = ref 0 in
+  while !xi < nx && fst ext.(!xi) < n_pinned do
+    incr xi
+  done;
+  for v = n_pinned to n - 1 do
     let boff = v * pw in
     let k0 = t.first_in.(v) in
     let hi = t.first_in.(v + 1) in
@@ -953,9 +753,10 @@ let eval_chunk_swar (t : t) (sets : Category.Set.t array) ~lo ~nl
         let o0 = Array.unsafe_get c.e_comp_off k in
         let o1 = Array.unsafe_get c.e_comp_off (k + 1) in
         let soff = Array.unsafe_get c.e_src k * pw in
-        let baserep = Array.unsafe_get c.e_base k * sw_rep in
+        let baserep = Array.unsafe_get c.e_base k * rep in
         if o0 = o1 then
           if rm = 0 then
+            (* latency identical in every lane: pure streaming max *)
             if k = k0 then
               for w = 0 to pw - 1 do
                 Array.unsafe_set slab (boff + w)
@@ -965,9 +766,11 @@ let eval_chunk_swar (t : t) (sets : Category.Set.t array) ~lo ~nl
               for w = 0 to pw - 1 do
                 let cur = Array.unsafe_get slab (boff + w) in
                 let cand = Array.unsafe_get slab (soff + w) + baserep in
-                Array.unsafe_set slab (boff + w) (sw_max cur cand)
+                Array.unsafe_set slab (boff + w) (pmax ~high ~sh cur cand)
               done
           else begin
+            (* removable, constant latency (CD/FBW/CBW/PD/PP): the keep
+               row zeroes the candidate in idealized lanes *)
             let rrow = Array.unsafe_get ktab rm in
             if k = k0 then
               for w = 0 to pw - 1 do
@@ -982,12 +785,13 @@ let eval_chunk_swar (t : t) (sets : Category.Set.t array) ~lo ~nl
                   (Array.unsafe_get slab (soff + w) + baserep)
                   land Array.unsafe_get rrow w
                 in
-                Array.unsafe_set slab (boff + w) (sw_max cur cand)
+                Array.unsafe_set slab (boff + w) (pmax ~high ~sh cur cand)
               done
           end
         else if rm = 0 && o0 + 1 = o1 then begin
+          (* one component, never removed: fold it through its keep row *)
           let crow = Array.unsafe_get ktab (Array.unsafe_get c.comp_mask o0) in
-          let d0 = Array.unsafe_get c.comp_lat o0 * sw_rep in
+          let d0 = Array.unsafe_get c.comp_lat o0 * rep in
           if k = k0 then
             for w = 0 to pw - 1 do
               Array.unsafe_set slab (boff + w)
@@ -1003,18 +807,19 @@ let eval_chunk_swar (t : t) (sets : Category.Set.t array) ~lo ~nl
                 + baserep
                 + (d0 land Array.unsafe_get crow w)
               in
-              Array.unsafe_set slab (boff + w) (sw_max cur cand)
+              Array.unsafe_set slab (boff + w) (pmax ~high ~sh cur cand)
             done
         end
         else begin
+          (* general: accumulate per-word latency component-major, so the
+             component data is read once per edge; [ktab.(0)] keeps every
+             field, so never-removed edges pass the removal mask *)
           for w = 0 to pw - 1 do
             Array.unsafe_set latbuf w baserep
           done;
           for j = o0 to o1 - 1 do
-            let crow =
-              Array.unsafe_get ktab (Array.unsafe_get c.comp_mask j)
-            in
-            let d = Array.unsafe_get c.comp_lat j * sw_rep in
+            let crow = Array.unsafe_get ktab (Array.unsafe_get c.comp_mask j) in
+            let d = Array.unsafe_get c.comp_lat j * rep in
             for w = 0 to pw - 1 do
               Array.unsafe_set latbuf w
                 (Array.unsafe_get latbuf w + (d land Array.unsafe_get crow w))
@@ -1034,115 +839,168 @@ let eval_chunk_swar (t : t) (sets : Category.Set.t array) ~lo ~nl
                 (Array.unsafe_get slab (soff + w) + Array.unsafe_get latbuf w)
                 land Array.unsafe_get rrow w
               in
-              Array.unsafe_set slab (boff + w) (sw_max cur cand)
+              Array.unsafe_set slab (boff + w) (pmax ~high ~sh cur cand)
             done
         end
       done;
     while !fi < nf && c.f_node.(!fi) = v do
-      let fb = c.f_base.(!fi) * sw_rep in
-      let j0 = c.f_off.(!fi) and j1 = c.f_off.(!fi + 1) in
-      for w = 0 to pw - 1 do
-        Array.unsafe_set latbuf w fb
-      done;
-      for j = j0 to j1 - 1 do
-        let crow = Array.unsafe_get ktab (Array.unsafe_get c.f_comp_mask j) in
-        let d = Array.unsafe_get c.f_comp_lat j * sw_rep in
-        for w = 0 to pw - 1 do
-          Array.unsafe_set latbuf w
-            (Array.unsafe_get latbuf w + (d land Array.unsafe_get crow w))
-        done
-      done;
-      for w = 0 to pw - 1 do
-        let cur = Array.unsafe_get slab (boff + w) in
-        Array.unsafe_set slab (boff + w)
-          (sw_max cur (Array.unsafe_get latbuf w))
-      done;
+      let fl = !fi in
+      raise_to v (fun f ->
+          let i = lane.(f) in
+          Int.max 0 (floor_lat c sets.(i) fl - off.(i)));
       incr fi
+    done;
+    while !xi < nx && fst ext.(!xi) = v do
+      let row = snd ext.(!xi) in
+      raise_to v (fun f ->
+          let i = lane.(f) in
+          Int.max 0 (row.(i) - off.(i)));
+      incr xi
     done
   done;
-  let soff = node ~seq:(t.num_instrs - 1) ~kind:C * pw in
-  for l = 0 to nl - 1 do
-    out.(lo + l) <-
-      (Array.unsafe_get slab (soff + (l / 3)) lsr (21 * (l mod 3)))
-      land sw_vmax
-      + 1
-  done
+  Array.iter
+    (fun (v, dst, doff) ->
+      for l = 0 to nl - 1 do
+        dst.(doff + lane.(l)) <-
+          ((slab.((v * pw) + (l / fpw)) lsr (fw * (l mod fpw))) land vmax)
+          + off.(lane.(l))
+      done)
+    extract
+
+(** [eval_pinned ?lanes ?ws t sets ~n_pinned ~pinned ~ext_floors ~extract]
+    evaluates [t] under every idealization in [sets] ([m] of them) and
+    writes the arrival times of the [extract]ed nodes.  See graph.mli. *)
+let eval_pinned ?(lanes = 32) ?ws (t : t) (sets : Category.Set.t array)
+    ~n_pinned ~(pinned : int array) ~(ext_floors : (int * int array) array)
+    ~(extract : (int * int array * int) array) : unit =
+  let m = Array.length sets in
+  if t.num_instrs > 0 && m > 0 then begin
+    let n = num_nodes t in
+    let lanes = max 1 (min lanes (min max_lanes m)) in
+    (* Rebase each lane on its earliest pinned time.  Every later node is
+       reached from the prefix through never-removed, non-negative edges
+       (DD chains the dispatches, DR/RE/EP/PC the rest), so its true time
+       is >= the offset: the zero-init and removed-edge zero candidates
+       are dominated, and floors below the offset clamp to 0 exactly. *)
+    let off = Array.make m (if n_pinned > 0 then max_int else 0) in
+    for v = 0 to n_pinned - 1 do
+      for i = 0 to m - 1 do
+        off.(i) <- Int.min off.(i) pinned.((v * m) + i)
+      done
+    done;
+    let top = ref 0 in
+    let rise row base =
+      for i = 0 to m - 1 do
+        top := Int.max !top (row.(base + i) - off.(i))
+      done
+    in
+    for v = 0 to n_pinned - 1 do
+      rise pinned (v * m)
+    done;
+    Array.iter (fun (_, row) -> rise row 0) ext_floors;
+    (* Lanes whose sets differ only in categories the graph never
+       mentions, and that agree on every pinned and floor value, run
+       identical recurrences: price the first of each class ([idx]) and
+       copy its times to the rest ([rep]). *)
+    let c = t.compiled in
+    let present = ref 0 in
+    for k = 0 to num_edges t - 1 do
+      present := !present lor c.e_removed.(k)
+    done;
+    Array.iter (fun mk -> present := !present lor mk) c.comp_mask;
+    Array.iter (fun mk -> present := !present lor mk) c.f_comp_mask;
+    let first = Hashtbl.create m in
+    let same i j =
+      let rec pins v =
+        v >= n_pinned || (pinned.((v * m) + i) = pinned.((v * m) + j) && pins (v + 1))
+      in
+      pins 0 && Array.for_all (fun (_, row) -> row.(i) = row.(j)) ext_floors
+    in
+    let rep =
+      Array.init m (fun i ->
+          match Hashtbl.find_opt first (sets.(i) land !present) with
+          | Some j when same i j -> j
+          | Some _ -> i
+          | None ->
+            Hashtbl.add first (sets.(i) land !present) i;
+            i)
+    in
+    let idx = Array.of_list (List.filter (fun i -> rep.(i) = i) (List.init m Fun.id)) in
+    let m' = Array.length idx in
+    (* every rebased time is at most the largest rebased start plus the
+       longest path; +1 keeps the reported critical length in range too *)
+    let fits lay =
+      t.compiled.lat_bound >= 0 && !top + t.compiled.lat_bound + 1 <= vmax lay
+    in
+    (match List.find_opt fits [ narrow; wide ] with
+     | Some lay ->
+       let ws = match ws with Some ws -> ws | None -> workspace () in
+       let pwmax = (lanes + lay.fpw - 1) / lay.fpw in
+       let nchunks = (m' + lanes - 1) / lanes in
+       Icost_util.Pool.parallel_chunks nchunks (fun ~lo ~hi ->
+           let slab = take_slab ws (n * pwmax) in
+           Fun.protect
+             ~finally:(fun () -> give_slab ws slab)
+             (fun () ->
+               let sc = make_scratch lay slab pwmax in
+               for ch = lo to hi - 1 do
+                 let slo = ch * lanes in
+                 Telemetry.incr c_sliced;
+                 if lay == wide then Telemetry.incr c_wide;
+                 eval_chunk lay t sets ~idx ~lo:slo ~nl:(min lanes (m' - slo))
+                   ~n_pinned ~pinned ~ext:ext_floors ~off ~extract sc
+               done))
+     | None ->
+       Telemetry.incr c_scalar;
+       Icost_util.Pool.parallel_chunks m' (fun ~lo ~hi ->
+           let time = Array.make n 0 in
+           for p = lo to hi - 1 do
+             let i = idx.(p) in
+             for v = 0 to n_pinned - 1 do
+               time.(v) <- pinned.((v * m) + i)
+             done;
+             eval_range t sets.(i) time ~n_pinned ~ext:ext_floors ~lane:i;
+             Array.iter (fun (v, dst, doff) -> dst.(doff + i) <- time.(v)) extract
+           done));
+    if m' < m then
+      Array.iter
+        (fun (_, dst, doff) ->
+          for i = 0 to m - 1 do
+            dst.(doff + i) <- dst.(doff + rep.(i))
+          done)
+        extract
+  end
 
 (** [eval_slices ?lanes t sets] is {!eval_subsets_scalar} computed
-    bit-sliced: each pool chunk prices up to [lanes] subsets (clamped to
-    1..{!max_lanes}, default {!max_lanes}) per pass over the compiled
-    edge arrays.  Per lane the recurrence is identical to the scalar
-    pass, so results are bit-identical regardless of [lanes] or the pool
-    job count; chunks write disjoint slices of the output. *)
+    bit-sliced: the unpinned case of {!eval_pinned}, pricing up to [lanes]
+    subsets (clamped to 1..{!max_lanes}, default {!max_lanes}) per pass
+    over the compiled edge arrays.  Per lane the recurrence is identical
+    to the scalar pass, so results are bit-identical regardless of
+    [lanes] or the pool job count; chunks write disjoint slices of the
+    output. *)
 let eval_slices ?(lanes = max_lanes) (t : t) (sets : Category.Set.t array) :
     int array =
   let m = Array.length sets in
-  let lanes = if lanes < 1 then 1 else min lanes (min max_lanes (max 1 m)) in
   let out = Array.make m 0 in
   if t.num_instrs > 0 && m > 0 then begin
     let sp = Telemetry.start_span "graph.eval_subsets" in
-    let n = num_nodes t in
-    (* the packed path needs every arrival time (+1 for the reported
-       critical length) to fit a 20-bit field *)
-    let packed =
-      t.compiled.lat_bound >= 0 && t.compiled.lat_bound + 1 <= sw_vmax
-    in
-    let nchunks = (m + lanes - 1) / lanes in
-    Icost_util.Pool.parallel_chunks nchunks (fun ~lo ~hi ->
-        if packed then begin
-          let pwmax = (lanes + 2) / 3 in
-          let slab = Array.make (n * pwmax) 0 in
-          let latbuf = Array.make pwmax 0 in
-          let lset = Array.make (3 * pwmax) 0 in
-          (* keep rows: one per singleton category mask, refreshed per
-             chunk, plus a constant all-keep row shared by every mask the
-             compiler never emits (only row 0 is ever dereferenced) *)
-          let keep_all = Array.make pwmax sw_keep in
-          let ktab = Array.make 256 keep_all in
-          for ci = 0 to Category.count - 1 do
-            ktab.(1 lsl ci) <- Array.make pwmax 0
-          done;
-          for ch = lo to hi - 1 do
-            let slo = ch * lanes in
-            let nl = min lanes (m - slo) in
-            Telemetry.incr c_sliced;
-            eval_chunk_swar t sets ~lo:slo ~nl ~slab ~latbuf ~lset ~ktab out
-          done
-        end
-        else begin
-          let slab = Array.make (n * lanes) 0 in
-          let latbuf = Array.make lanes 0 in
-          let lset = Array.make lanes 0 in
-          let keep_all = Array.make lanes (-1) in
-          let ktab = Array.make 256 keep_all in
-          for ci = 0 to Category.count - 1 do
-            ktab.(1 lsl ci) <- Array.make lanes 0
-          done;
-          for ch = lo to hi - 1 do
-            let slo = ch * lanes in
-            let nl = min lanes (m - slo) in
-            Telemetry.incr c_sliced;
-            eval_chunk t sets ~lo:slo ~nl ~slab ~latbuf ~lset ~ktab out
-          done
-        end);
+    let sink = node ~seq:(t.num_instrs - 1) ~kind:C in
+    eval_pinned ~lanes t sets ~n_pinned:0 ~pinned:[||] ~ext_floors:[||]
+      ~extract:[| (sink, out, 0) |];
+    for i = 0 to m - 1 do
+      out.(i) <- out.(i) + 1
+    done;
     if Telemetry.enabled () then
       Telemetry.end_span sp
-        ~attrs:
-          [
-            ("sets", string_of_int m);
-            ("lanes", string_of_int lanes);
-            ("passes", string_of_int nchunks);
-            ("packed", string_of_bool packed);
-          ]
+        ~attrs:[ ("sets", string_of_int m); ("lanes", string_of_int lanes) ]
     else Telemetry.end_span sp
   end;
   out
 
 (** [eval_subsets t sets] computes {!critical_length} under every
     idealization in [sets]; results are index-aligned with [sets].  The
-    implementation is the bit-sliced {!eval_slices} (up to {!max_lanes}
-    subsets per edge-array pass); {!eval_subsets_scalar} remains as the
-    reference oracle. *)
+    implementation is the bit-sliced {!eval_slices}; {!eval_subsets_scalar}
+    remains as the reference oracle. *)
 let eval_subsets (t : t) (sets : Category.Set.t array) : int array =
   (* 32 lanes measures fastest on the 10k-instr kernels: enough to amortize
      per-edge decode, small enough that a chunk's slab stays cache-resident *)
@@ -1164,20 +1022,18 @@ let instr_cost ?ideal (t : t) ~seq : int =
     times in two passes. *)
 let slacks ?(ideal = Category.Set.empty) (t : t) : int array =
   let n = num_nodes t in
+  let c = t.compiled in
   let time = eval ~ideal t in
   let cp = if n = 0 then 0 else time.(n - 1) in
   (* latest(v): latest arrival of v keeping the last C node at cp *)
   let latest = Array.make n max_int in
   if n > 0 then latest.(n - 1) <- cp;
   for v = n - 1 downto 0 do
-    let lo = t.first_in.(v) and hi = t.first_in.(v + 1) in
-    for k = lo to hi - 1 do
-      let e = t.edges.(k) in
-      match edge_latency ideal e with
-      | None -> ()
-      | Some lat ->
-        if latest.(v) <> max_int && latest.(v) - lat < latest.(e.src) then
-          latest.(e.src) <- latest.(v) - lat
+    for k = t.first_in.(v) to t.first_in.(v + 1) - 1 do
+      if latest.(v) <> max_int && c.e_removed.(k) land ideal = 0 then begin
+        let u = c.e_src.(k) and l = latest.(v) - edge_lat c ideal k in
+        if l < latest.(u) then latest.(u) <- l
+      end
     done
   done;
   Array.init n (fun v ->
@@ -1189,27 +1045,22 @@ let slacks ?(ideal = Category.Set.empty) (t : t) : int array =
 let critical_path ?(ideal = Category.Set.empty) (t : t) : (int * edge_kind option) list =
   if t.num_instrs = 0 then []
   else begin
+    let c = t.compiled in
     let time = eval ~ideal t in
     let rec walk v acc =
-      let hi = t.first_in.(v + 1) in
-      let pred = ref None in
-      let found = ref false in
-      let k = ref t.first_in.(v) in
       (* stop at the first (earliest) incoming edge on the critical path *)
-      while (not !found) && !k < hi do
-        let e = t.edges.(!k) in
-        (match edge_latency ideal e with
-         | None -> ()
-         | Some lat ->
-           if time.(e.src) + lat = time.(v) then begin
-             pred := Some e;
-             found := true
-           end);
-        incr k
-      done;
-      match !pred with
-      | Some e when time.(v) > 0 -> walk e.src ((v, Some e.kind) :: acc)
-      | _ -> (v, None) :: acc
+      let rec first k =
+        if k >= t.first_in.(v + 1) then -1
+        else if
+          c.e_removed.(k) land ideal = 0
+          && time.(c.e_src.(k)) + edge_lat c ideal k = time.(v)
+        then k
+        else first (k + 1)
+      in
+      let k = first t.first_in.(v) in
+      if k >= 0 && time.(v) > 0 then
+        walk c.e_src.(k) ((v, Some edge_kinds.(c.e_kind.(k))) :: acc)
+      else (v, None) :: acc
     in
     walk (node ~seq:(t.num_instrs - 1) ~kind:C) []
   end
@@ -1217,19 +1068,17 @@ let critical_path ?(ideal = Category.Set.empty) (t : t) : (int * edge_kind optio
 (** Count of edges by kind (model statistics and tests). *)
 let edge_histogram (t : t) =
   let tbl = Hashtbl.create 12 in
-  Array.iter
-    (fun e ->
-      Hashtbl.replace tbl e.kind
-        (1 + Option.value ~default:0 (Hashtbl.find_opt tbl e.kind)))
-    t.edges;
+  for k = 0 to num_edges t - 1 do
+    let kind = edge_kinds.(t.compiled.e_kind.(k)) in
+    Hashtbl.replace tbl kind (1 + Option.value ~default:0 (Hashtbl.find_opt tbl kind))
+  done;
   tbl
-
-let num_edges t = Array.length t.edges
 
 (** Graphviz DOT rendering (for small graphs, e.g. the Figure 2 demo).
     Critical-path edges are drawn bold. *)
 let to_dot ?(ideal = Category.Set.empty) (t : t) : string =
   let time = eval ~ideal t in
+  let es = edges t in
   let on_cp =
     let cp = critical_path ~ideal t in
     let tbl = Hashtbl.create 64 in
@@ -1261,7 +1110,7 @@ let to_dot ?(ideal = Category.Set.empty) (t : t) : string =
         (Printf.sprintf "  n%d -> n%d [label=\"%s:%d\"%s];\n" e.src e.dst
            (edge_kind_name e.kind) lat
            (if on_cp e.src e.dst then " penwidth=3" else "")))
-    t.edges;
+    es;
   Buffer.add_string buf "}\n";
   Buffer.contents buf
 
@@ -1285,5 +1134,5 @@ let pp_small ppf ?(ideal = Category.Set.empty) (t : t) =
       | Some lat ->
         Format.fprintf ppf "%s -> %s  %s lat=%d@," (node_name e.src) (node_name e.dst)
           (edge_kind_name e.kind) lat)
-    t.edges;
+    (edges t);
   Format.fprintf ppf "@]"

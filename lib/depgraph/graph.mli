@@ -48,16 +48,16 @@ type edge = {
 }
 
 type compiled
-(** Flat-int-array form of the edge/floor latency data, precomputed at
-    {!Builder.finish} time and used by the allocation-free evaluation
-    path ({!eval_into}, {!eval_subsets}). *)
+(** Flat-int-array form of the edge/floor latency data, the only form a
+    graph has: {!Builder} appends straight into it, and the
+    allocation-free evaluation paths ({!eval_into}, {!eval_subsets},
+    {!eval_pinned}) read nothing else. *)
 
 type t = {
   num_instrs : int;
-  edges : edge array;  (** sorted by [dst] *)
   first_in : int array;
-      (** CSR index: incoming edges of node [v] are
-          [edges.(first_in.(v)) .. edges.(first_in.(v+1) - 1)] *)
+      (** CSR index: incoming edges of node [v] are the edge indices
+          [first_in.(v) .. first_in.(v+1) - 1] (see {!edges}) *)
   floors : (int * int * component list) list;
       (** (node, base, components): minimum arrival times for nodes whose
           stall has no incoming edge to ride on (e.g. the first
@@ -75,6 +75,11 @@ val seq_of_node : int -> int
 val kind_of_node : int -> node_kind
 val node_name : int -> string
 
+val edges : t -> edge array
+(** Boxed records of every edge, in CSR order (sorted by [dst]), rebuilt
+    from the flat arrays on each call.  For rendering and inspection; the
+    evaluation paths never build them except under an [override]. *)
+
 val edge_latency : Category.Set.t -> edge -> int option
 (** Effective latency under an idealization; [None] if the edge is
     removed. *)
@@ -84,7 +89,9 @@ val edge_latency : Category.Set.t -> edge -> int option
 module Builder : sig
   type b
 
-  val create : unit -> b
+  val create : ?edges:int -> unit -> b
+  (** [edges] is a capacity hint; the arrays grow as needed. *)
+
   val note_instr : b -> unit
 
   val add_edge :
@@ -93,26 +100,35 @@ module Builder : sig
     dst:int ->
     kind:edge_kind ->
     ?base:int ->
-    ?components:component list ->
     ?removed_by:Category.t ->
     unit ->
     unit
-  (** Edges must point forward ([src < dst]); node order is then a
-      topological order. *)
+  (** Append an edge straight into the flat CSR arrays.  Edges must point
+      forward ([src < dst]), so node order is a topological order, and
+      must arrive in non-decreasing [dst] order; the edges into one node
+      keep their call order, which is the order evaluation scans them and
+      {!critical_path} breaks ties in.
+      @raise Invalid_argument otherwise. *)
+
+  val add_component : b -> Category.t -> int -> unit
+  (** Add a category-owned latency component to the latest edge. *)
 
   val add_floor : b -> node:int -> base:int -> components:component list -> unit
+
   val finish : b -> t
+  (** Seal the graph: compile the floors and certify the latency bound.
+      The graph takes over the builder's arrays, so a builder is finished
+      once and not used afterwards. *)
 end
 
 val marshal : t -> string
-(** Compact byte serialization for snapshotting.  The derived compiled
-    arrays are dropped (rebuilt by {!unmarshal}) and edge records are
-    transposed into flat int arrays so decoding is allocation-cheap:
-    the result is ~40% smaller and ~2x faster to load than
-    [Marshal.to_string] of the whole graph. *)
+(** Compact byte serialization for snapshotting: flat per-edge int
+    arrays, so decoding is allocation-cheap.  The byte layout is the one
+    the [icost.graphcache.v1] store has always used (it predates the flat
+    representation), so existing snapshot files stay valid. *)
 
 val unmarshal : string -> t
-(** Inverse of {!marshal}; recompiles the flat evaluation arrays.
+(** Inverse of {!marshal}; replays the edges through a {!Builder}.
     @raise Failure on malformed bytes.  Callers must authenticate the
     bytes first (e.g. a digest check) — this is not hardened against
     adversarial input. *)
@@ -135,10 +151,10 @@ val critical_length : ?ideal:Category.Set.t -> ?override:(edge -> int option) ->
 
 val eval_subsets : t -> Category.Set.t array -> int array
 (** [eval_subsets t sets] is [Array.map (fun s -> critical_length ~ideal:s t) sets],
-    computed bit-sliced ({!eval_slices} with the default lane count): each
-    pass over the compiled edge arrays prices up to {!max_lanes} subsets at
-    once, so a 256-subset sweep is 4 edge-array streams instead of 256.
-    Bit-identical to {!eval_subsets_scalar} (checked by the
+    computed by the packed kernel ({!eval_slices} at 32 lanes): each pass
+    over the compiled edge arrays prices 32 subsets at once, and subsets
+    that can only differ in categories the graph never mentions are priced
+    once.  Bit-identical to {!eval_subsets_scalar} (checked by the
     [sliced-eval-exact] conformance law). *)
 
 val eval_subsets_scalar : t -> Category.Set.t array -> int array
@@ -159,33 +175,41 @@ val eval_slices : ?lanes:int -> t -> Category.Set.t array -> int array
     lane the max-plus recurrence is identical to the scalar pass, so the
     result is invariant under [lanes] and the pool job count. *)
 
-val eval_lanes_pinned :
+type workspace
+(** Evaluation slabs recycled across {!eval_pinned} calls, so a caller
+    that evaluates many graphs (a streamed run's segments) holds at most
+    one slab per pool job. *)
+
+val workspace : unit -> workspace
+
+val eval_pinned :
+  ?lanes:int ->
+  ?ws:workspace ->
   t ->
   Category.Set.t array ->
-  lo:int ->
-  nl:int ->
   n_pinned:int ->
   pinned:int array ->
-  pin_stride:int ->
   ext_floors:(int * int array) array ->
-  latbuf:int array ->
-  lset:int array ->
-  ktab:int array array ->
-  slab:int array ->
+  extract:(int * int array * int) array ->
   unit
-(** Bit-sliced pass over a streaming segment fragment: the first
-    [n_pinned] nodes are boundary nodes loaded verbatim from [pinned]
-    (node-major, stride [pin_stride], lane offset [lo]) instead of
-    evaluated, and [ext_floors] (sorted by node, rows offset by [lo])
-    injects per-lane lower bounds for producers older than the pinned
-    prefix.  Evaluates lanes [sets.(lo) .. sets.(lo + nl - 1)]
-    ([nl <= max_lanes]) into the caller's [slab] (node-major, stride
-    [nl]), which is retained so the caller can extract the next segment's
-    boundary carries.  [latbuf]/[lset] are scratch of length >= [nl];
-    [ktab] must have 256 rows of length >= [nl] with row 0 all [-1].
-    Since every edge satisfies [src < dst], continuing the recurrence from
-    pinned absolute times is exactly the monolithic evaluation restarted
-    mid-graph (bit-exact). *)
+(** The one bit-sliced kernel, with a pinned prefix.  Evaluates [t] under
+    each of the [m] idealizations in [sets], [lanes] (default 32, clamped
+    to 1..{!max_lanes}) per pass.  The first [n_pinned] nodes are not
+    evaluated: their absolute times are loaded from [pinned] (node-major,
+    row [v] at [v * m], one entry per set) and their in-edges, if any,
+    are ignored.  [ext_floors] (sorted by node, rows of [m]) adds per-set lower
+    bounds, e.g. for producers older than the prefix.  Each
+    [(node, dst, off)] in [extract] receives the node's time under
+    [sets.(i)] in [dst.(off + i)].  With [n_pinned = 0] this is
+    {!eval_slices}'s kernel.
+
+    Lanes are packed three to a word in 21-bit fields when every rebased
+    time provably fits 20 bits, else two to a word in 31-bit fields, else
+    the scalar reference pass runs (negative latencies always take it).
+    Each lane is rebased on its earliest pinned time; this is exact when
+    every non-pinned node is reachable from the prefix through
+    never-removed edges, as {!Build.emit} guarantees with its DD chain.
+    Bit-identical to restarting the scalar recurrence mid-graph. *)
 
 val cost_of_edges : ?ideal:Category.Set.t -> t -> (edge -> bool) -> int
 (** Speedup from zeroing every matching edge (Tune et al.). *)

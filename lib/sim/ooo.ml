@@ -547,6 +547,7 @@ module Stream = struct
     if Isa.is_load d.instr && e.dl1_miss then Hashtbl.replace t.line_complete e.line complete;
     if mispredicts cfg e then t.redirect_complete <- complete;
     t.count <- i + 1;
+    Telemetry.incr c_instrs;
     if t.count >= t.next_prune then begin
       prune t ~dispatch ~commit;
       t.next_prune <- t.count + prune_period

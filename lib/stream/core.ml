@@ -4,8 +4,12 @@
     segment is timed by the bounded-state simulator
     ({!Icost_sim.Ooo.Stream}), compiled into a dependence-graph fragment
     with {!Icost_depgraph.Build.emit} (the exact monolithic edge-emission
-    logic), and priced for {e all} [2^Category.count] idealization subsets
-    with {!Icost_depgraph.Graph.eval_lanes_pinned}.
+    logic, appending straight into the flat CSR arrays), and priced for
+    {e all} [2^Category.count] idealization subsets with
+    {!Icost_depgraph.Graph.eval_pinned}, the same packed kernel the
+    monolithic graph uses.  The stages are the [stream.sim],
+    [stream.build], [stream.carry], [stream.eval] and [stream.prune]
+    telemetry spans inside [stream.segment].
 
     {b Why segmented evaluation is exact.}  Every edge of the dependence
     graph points forward ([src < dst]), so node arrival times are final
@@ -20,14 +24,18 @@
     edges whose source predates the prefix are dropped: the source's
     dispatch is dominated by the in-prefix [D(i - fetch_bw)] source of the
     regular FBW edge (same base, same removal category, D monotone per
-    lane), so the drop is exact.  The aggregate over any trace is
-    therefore {e bit-identical} to the monolithic evaluation — the
-    [stream-matches-monolithic] law pins this with [Exact] tolerance.
+    lane), so the drop is exact.  Carried times are absolute; the kernel
+    rebases each lane on its earliest pinned time so they fit its packed
+    fields, which is exact because every fragment node is reached from the
+    prefix by never-removed edges (see {!Icost_depgraph.Graph.eval_pinned}).
+    The aggregate over any trace is therefore {e bit-identical} to the
+    monolithic evaluation — the [stream-matches-monolithic] law pins this
+    with [Exact] tolerance.
 
-    Peak memory is O(segment + window): the per-segment slab (the largest
-    allocation, ~[5 * (B + segment) * 32] ints per pool job) is recycled
-    through a free list, and all carries are bounded by the data footprint
-    of the workload, not the trace length. *)
+    Peak memory is O(segment + window): the per-segment slabs (the largest
+    allocations, ~[5 * (B + segment) * 11] ints per pool job) are recycled
+    through a {!Icost_depgraph.Graph.workspace}, and all carries are
+    bounded by the data footprint of the workload, not the trace length. *)
 
 module Trace = Icost_isa.Trace
 module Isa = Icost_isa.Isa
@@ -37,7 +45,6 @@ module Graph = Icost_depgraph.Graph
 module Build = Icost_depgraph.Build
 module Category = Icost_core.Category
 module Cost = Icost_core.Cost
-module Pool = Icost_util.Pool
 module Telemetry = Icost_util.Telemetry
 module Fault = Icost_util.Fault
 
@@ -86,17 +93,6 @@ let peak_mb_hwm () =
   float_of_int (Atomic.get g_peak_words * (Sys.word_size / 8))
   /. (1024. *. 1024.)
 
-let lanes = 32
-
-(* Per-job evaluation scratch, recycled across segments so peak memory is
-   [jobs * slab], not [segments * slab]. *)
-type scratch = {
-  slab : int array;
-  latbuf : int array;
-  lset : int array;
-  ktab : int array array;
-}
-
 let default_segment_insns = 8192
 
 let analyze ?(segment_insns = default_segment_insns) (cfg : Config.t)
@@ -116,44 +112,23 @@ let analyze ?(segment_insns = default_segment_insns) (cfg : Config.t)
   let reg_rows : int array option array = Array.make Isa.num_regs None in
   let store_rows : (int, int array) Hashtbl.t = Hashtbl.create 256 in
   let line_rows : (int, int array) Hashtbl.t = Hashtbl.create 256 in
+  (* rows of pruned carries, reused for new ones: every lane of a carried
+     row is rewritten by the kernel before it is read *)
+  let spare = ref [] in
+  let fresh_row () =
+    match !spare with
+    | row :: rest ->
+      spare := rest;
+      row
+    | [] -> Array.make nsets 0
+  in
   let taken_hist : int Queue.t = Queue.create () in
   let prev_mispredict = ref false in
   let count = ref 0 in
   let seg_id = ref 0 in
   let seg_stats = ref [] in
   let peak_heap = ref 0 in
-  let n_nodes_max = 5 * (bmax + segment_insns) in
-  let scratch_mutex = Mutex.create () in
-  let scratch_free : scratch list ref = ref [] in
-  let alloc_scratch () =
-    let keep_all = Array.make lanes (-1) in
-    let ktab = Array.make 256 keep_all in
-    for ci = 0 to Category.count - 1 do
-      ktab.(1 lsl ci) <- Array.make lanes 0
-    done;
-    {
-      slab = Array.make (n_nodes_max * lanes) 0;
-      latbuf = Array.make lanes 0;
-      lset = Array.make lanes 0;
-      ktab;
-    }
-  in
-  let take_scratch () =
-    Mutex.lock scratch_mutex;
-    match !scratch_free with
-    | s :: tl ->
-      scratch_free := tl;
-      Mutex.unlock scratch_mutex;
-      s
-    | [] ->
-      Mutex.unlock scratch_mutex;
-      alloc_scratch ()
-  in
-  let give_scratch s =
-    Mutex.lock scratch_mutex;
-    scratch_free := s :: !scratch_free;
-    Mutex.unlock scratch_mutex
-  in
+  let ws = Graph.workspace () in
   let read_segment () =
     let rec go acc k =
       if k = segment_insns then List.rev acc
@@ -167,11 +142,14 @@ let analyze ?(segment_insns = default_segment_insns) (cfg : Config.t)
     if len > 0 then begin
       if Fault.fire fault_segment then raise (Segment_fault !seg_id);
       let sp = Telemetry.start_span "stream.segment" in
+      let sp_sim = Telemetry.start_span "stream.sim" in
       let slots = Array.map (fun (d, e) -> Ooo.Stream.step sim d e) items in
+      Telemetry.end_span sp_sim;
       (* ---- fragment build ---- *)
+      let sp_build = Telemetry.start_span "stream.build" in
       let bp = !pin_count in
       let base_g = !count - bp in
-      let b = Graph.Builder.create () in
+      let b = Graph.Builder.create ~edges:(12 * (bp + len)) () in
       for _ = 1 to bp do
         Graph.Builder.note_instr b
       done;
@@ -291,7 +269,9 @@ let analyze ?(segment_insns = default_segment_insns) (cfg : Config.t)
         Array.sort (fun (a, _) (b, _) -> compare a b) arr;
         arr
       in
+      Telemetry.end_span sp_build;
       (* ---- carry extraction plan ---- *)
+      let sp_carry = Telemetry.start_span "stream.carry" in
       let total = bp + len in
       let new_pin = min bmax total in
       let first_keep = total - new_pin in
@@ -299,63 +279,45 @@ let analyze ?(segment_insns = default_segment_insns) (cfg : Config.t)
       for v = 0 to (5 * new_pin) - 1 do
         extracts := ((5 * first_keep) + v, !pin_next, v * nsets) :: !extracts
       done;
-      let reg_updates = ref [] in
+      (* the latest producers' rows are rewritten in place: the build
+         above already copied what it read from them into the fragment's
+         floors, and nothing reads the maps while the kernel runs *)
+      let carry_row node row =
+        extracts := (Graph.node ~seq:node ~kind:Graph.P, row, 0) :: !extracts
+      in
       for r = 0 to Isa.num_regs - 1 do
         if lw.(r) >= 0 then begin
-          let row = Array.make nsets 0 in
-          reg_updates := (r, row) :: !reg_updates;
-          extracts := (Graph.node ~seq:lw.(r) ~kind:Graph.P, row, 0) :: !extracts
+          let row = match reg_rows.(r) with Some row -> row | None -> fresh_row () in
+          reg_rows.(r) <- Some row;
+          carry_row lw.(r) row
         end
       done;
-      let store_updates = ref [] in
-      Hashtbl.iter
-        (fun a li ->
-          let row = Array.make nsets 0 in
-          store_updates := (a, row) :: !store_updates;
-          extracts := (Graph.node ~seq:li ~kind:Graph.P, row, 0) :: !extracts)
-        lstore;
-      let line_updates = ref [] in
-      Hashtbl.iter
-        (fun line li ->
-          let row = Array.make nsets 0 in
-          line_updates := (line, row) :: !line_updates;
-          extracts := (Graph.node ~seq:li ~kind:Graph.P, row, 0) :: !extracts)
-        lline;
-      let extracts = !extracts in
-      (* ---- price all subsets, 32 lanes per pass; each chunk writes a
-         disjoint lane range of every carry row, so extraction is
-         race-free ---- *)
-      let n_pinned = 5 * bp in
-      let nchunks = nsets / lanes in
-      Pool.parallel_chunks nchunks (fun ~lo ~hi ->
-          let sc = take_scratch () in
-          Fun.protect
-            ~finally:(fun () -> give_scratch sc)
-            (fun () ->
-              for ch = lo to hi - 1 do
-                let slo = ch * lanes in
-                Graph.eval_lanes_pinned g sets ~lo:slo ~nl:lanes ~n_pinned
-                  ~pinned:!pin ~pin_stride:nsets ~ext_floors ~latbuf:sc.latbuf
-                  ~lset:sc.lset ~ktab:sc.ktab ~slab:sc.slab;
-                List.iter
-                  (fun (node, dst, off) ->
-                    let soff = node * lanes in
-                    for l = 0 to lanes - 1 do
-                      dst.(off + slo + l) <- sc.slab.(soff + l)
-                    done)
-                  extracts
-              done))
-      ;
+      let carry_into tbl key li =
+        match Hashtbl.find_opt tbl key with
+        | Some row -> carry_row li row
+        | None ->
+          let row = fresh_row () in
+          Hashtbl.add tbl key row;
+          carry_row li row
+      in
+      Hashtbl.iter (carry_into store_rows) lstore;
+      Hashtbl.iter (carry_into line_rows) lline;
+      let extract = Array.of_list !extracts in
+      Telemetry.end_span sp_carry;
+      (* ---- price all subsets; the kernel writes every carry row, each
+         pool chunk a disjoint lane range ---- *)
+      let sp_eval = Telemetry.start_span "stream.eval" in
+      Graph.eval_pinned ~ws g sets ~n_pinned:(5 * bp) ~pinned:!pin ~ext_floors
+        ~extract;
+      Telemetry.end_span sp_eval;
       (* ---- commit carries ---- *)
       let t = !pin in
       pin := !pin_next;
       pin_next := t;
       pin_count := new_pin;
-      List.iter (fun (r, row) -> reg_rows.(r) <- Some row) !reg_updates;
-      List.iter (fun (a, row) -> Hashtbl.replace store_rows a row) !store_updates;
-      List.iter (fun (line, row) -> Hashtbl.replace line_rows line row) !line_updates;
       prev_mispredict := !pm;
       count := !count + len;
+      let sp_prune = Telemetry.start_span "stream.prune" in
       (* ---- prune dead carries: D is monotone per lane (base-0 DD chain,
          never removed) and every floor attaches at an R or P node, both
          >= D + 1 in every lane; a carried row wholly below the newest
@@ -365,36 +327,39 @@ let analyze ?(segment_insns = default_segment_insns) (cfg : Config.t)
          the cumulative one. ---- *)
       let lastd = (Graph.node ~seq:(new_pin - 1) ~kind:Graph.D * nsets) in
       let frontier = !pin in
-      let dead_all addend row =
-        let rec go s =
-          s >= nsets || (row.(s) + addend <= frontier.(lastd + s) && go (s + 1))
-        in
-        go 0
-      in
       (* line rows are only consulted in non-Dmiss lanes (the PP edge is
-         removed under Dmiss idealization) *)
-      let dead_nondmiss row =
+         removed under Dmiss idealization), so those lanes are [skip]ped.
+         A live row is usually live in the same lane as the last live row
+         found, so that lane is tried first. *)
+      let hint = ref 0 in
+      let dead ~addend ~skip row =
+        let live s = s land skip = 0 && row.(s) + addend > frontier.(lastd + s) in
         let rec go s =
-          s >= nsets
-          || ((Category.Set.mem Category.Dmiss s
-               || row.(s) <= frontier.(lastd + s))
-              && go (s + 1))
+          s >= nsets || if live s then (hint := s; false) else go (s + 1)
         in
-        go 0
+        (not (live !hint)) && go 0
       in
+      let dead_all = dead ~addend:wake ~skip:0 in
       for r = 0 to Isa.num_regs - 1 do
         match reg_rows.(r) with
-        | Some row when dead_all wake row -> reg_rows.(r) <- None
+        | Some row when dead_all row ->
+          spare := row :: !spare;
+          reg_rows.(r) <- None
         | _ -> ()
       done;
       let drop tbl dead =
         let dead_keys =
           Hashtbl.fold (fun k row acc -> if dead row then k :: acc else acc) tbl []
         in
-        List.iter (Hashtbl.remove tbl) dead_keys
+        List.iter
+          (fun k ->
+            spare := Hashtbl.find tbl k :: !spare;
+            Hashtbl.remove tbl k)
+          dead_keys
       in
-      drop store_rows (dead_all wake);
-      drop line_rows dead_nondmiss;
+      drop store_rows dead_all;
+      drop line_rows (dead ~addend:0 ~skip:(Category.Set.singleton Category.Dmiss));
+      Telemetry.end_span sp_prune;
       let cum_cycles = Ooo.Stream.cycles sim in
       let heap_words = (Gc.quick_stat ()).Gc.heap_words in
       if heap_words > !peak_heap then peak_heap := heap_words;

@@ -10,6 +10,7 @@ module Ooo = Icost_sim.Ooo
 module Build = Icost_depgraph.Build
 module Graph = Icost_depgraph.Graph
 module Category = Icost_core.Category
+module Telemetry = Icost_util.Telemetry
 
 let graph_of ?(max_instrs = 3000) ?(cfg = Config.default) name =
   let w = Icost_workloads.Workload.find_exn name in
@@ -50,7 +51,7 @@ let test_edges_point_forward () =
   Array.iter
     (fun (e : Graph.edge) ->
       if e.src >= e.dst then Alcotest.failf "edge not forward: %d -> %d" e.src e.dst)
-    g.Graph.edges
+    (Graph.edges g)
 
 let test_eval_monotone_nodes () =
   let _, _, _, g = graph_of "gzip" in
@@ -212,19 +213,188 @@ let test_sliced_matches_scalar () =
   Alcotest.(check bool) "empty set array" true
     (Graph.eval_subsets g [||] = [||])
 
-let test_sliced_unpacked_fallback () =
+(* [f ()] with the telemetry sink on, and how far each named counter moved *)
+let counting names f =
+  let cs = List.map Telemetry.counter names in
+  let was = Telemetry.enabled () in
+  Telemetry.enable ();
+  let v0 = List.map Telemetry.value cs in
+  let r = Fun.protect ~finally:(fun () -> if not was then Telemetry.disable ()) f in
+  (r, List.map2 (fun c v -> Telemetry.value c - v) cs v0)
+
+let test_sliced_over_bound_path () =
   (* a 500k-cycle L1 latency pushes the compiled graph's latency bound
-     far past the 20-bit packed-lane capacity, forcing the unpacked
-     evaluation path; it must stay bit-identical to the scalar one *)
-  let cfg = { Config.default with Config.dl1_lat = 500_000 } in
-  let _, _, _, g = graph_of ~max_instrs:800 ~cfg "gcc" in
-  let reference = Graph.eval_subsets_scalar g all_subsets in
-  Alcotest.(check bool) "huge-latency graph exceeds packed range" true
-    (Graph.critical_length g > 1 lsl 20);
-  Alcotest.(check bool) "unpacked fallback bit-identical" true
-    (Graph.eval_subsets g all_subsets = reference);
-  Alcotest.(check bool) "unpacked fallback, lanes=5" true
-    (Graph.eval_slices ~lanes:5 g all_subsets = reference)
+     far past the 20-bit field, so the 2 x 31-bit instance of the kernel
+     runs; 50M cycles pushes it past 30 bits too, onto the scalar
+     reference.  Both must stay bit-identical to the scalar sweep *)
+  List.iter
+    (fun (dl1_lat, path) ->
+      let cfg = { Config.default with Config.dl1_lat } in
+      let _, _, _, g = graph_of ~max_instrs:800 ~cfg "gcc" in
+      let reference = Graph.eval_subsets_scalar g all_subsets in
+      Alcotest.(check bool) "huge-latency graph exceeds packed range" true
+        (Graph.critical_length g > 1 lsl 20);
+      let sliced, moved =
+        counting [ path ] (fun () -> Graph.eval_subsets g all_subsets)
+      in
+      Alcotest.(check bool) (path ^ " taken") true (List.hd moved > 0);
+      Alcotest.(check bool) "over-bound fallback bit-identical" true
+        (sliced = reference);
+      Alcotest.(check bool) "over-bound fallback, lanes=5" true
+        (Graph.eval_slices ~lanes:5 g all_subsets = reference))
+    [ (500_000, "graph.wide_evals"); (50_000_000, "graph.scalar_fallbacks") ]
+
+(* The scalar recurrence over boxed edge records, resumed after a pinned
+   prefix: an oracle for [Graph.eval_pinned] independent of the flat
+   arrays.  [lower v] is node [v]'s external floor (0 when none). *)
+let pinned_reference g s ~n_pinned ~pinned_row ~lower =
+  let es = Graph.edges g in
+  let time = Array.make (Graph.num_nodes g) 0 in
+  for v = 0 to Graph.num_nodes g - 1 do
+    if v < n_pinned then time.(v) <- pinned_row v
+    else begin
+      let best = ref (lower v) in
+      for k = g.Graph.first_in.(v) to g.Graph.first_in.(v + 1) - 1 do
+        match Graph.edge_latency s es.(k) with
+        | Some lat -> best := max !best (time.(es.(k).Graph.src) + lat)
+        | None -> ()
+      done;
+      time.(v) <- !best
+    end
+  done;
+  time
+
+let pinned_rebased_exact name =
+  let _, _, _, g = graph_of ~max_instrs:2000 name in
+  let sets = all_subsets in
+  let m = Array.length sets in
+  let n = Graph.num_nodes g in
+  let n_pinned = Graph.node ~seq:300 ~kind:Graph.D in
+  (* pin the first 300 instructions at their monolithic times shifted past
+     the 20-bit field: max-plus is shift-invariant, so every later node
+     must come out shifted by exactly the same amount *)
+  let shift = 3 lsl 20 in
+  let full = Array.map (fun s -> Graph.eval ~ideal:s g) sets in
+  let pinned = Array.make (n_pinned * m) 0 in
+  for v = 0 to n_pinned - 1 do
+    for i = 0 to m - 1 do
+      pinned.((v * m) + i) <- full.(i).(v) + shift
+    done
+  done;
+  let probes =
+    [ n_pinned; n_pinned + 4; Graph.node ~seq:1000 ~kind:Graph.R; n - 6; n - 1 ]
+  in
+  let run ?lanes ext_floors =
+    let dst = Array.make (List.length probes * m) 0 in
+    let extract = Array.of_list (List.mapi (fun j v -> (v, dst, j * m)) probes) in
+    Graph.eval_pinned ?lanes g sets ~n_pinned ~pinned ~ext_floors ~extract;
+    fun j i -> dst.((j * m) + i)
+  in
+  let check_all ~detail ext_floors expect =
+    List.iter
+      (fun lanes ->
+        let (got : int -> int -> int), moved =
+          counting
+            [ "graph.sliced_evals"; "graph.wide_evals"; "graph.scalar_fallbacks" ]
+            (fun () -> run ?lanes ext_floors)
+        in
+        Alcotest.(check (list bool))
+          (detail ^ ": 21-bit path only") [ true; false; false ]
+          (List.map (fun d -> d > 0) moved);
+        List.iteri
+          (fun j v ->
+            for i = 0 to m - 1 do
+              if got j i <> expect i v then
+                Alcotest.failf "%s, %s, lanes %s: node %s, subset %d: %d vs %d" name detail
+                  (match lanes with Some l -> string_of_int l | None -> "default")
+                  (Graph.node_name v) i (got j i) (expect i v)
+            done)
+          probes)
+      [ None; Some 1; Some 3; Some 17; Some 64 ]
+  in
+  check_all ~detail:"no floors" [||] (fun i v -> full.(i).(v) + shift);
+  (* external floors below each lane's offset (its earliest pinned time)
+     rebase to negative values; they must clamp to 0 and change nothing *)
+  let below =
+    [|
+      (Graph.node ~seq:301 ~kind:Graph.R, Array.init m (fun i -> shift - 1 - (i land 15)));
+      (Graph.node ~seq:900 ~kind:Graph.P, Array.make m 0);
+    |]
+  in
+  check_all ~detail:"floors below the offset" below (fun i v -> full.(i).(v) + shift);
+  (* a floor above the arrival times must push them up exactly as the
+     record-level oracle says *)
+  let hot = Graph.node ~seq:700 ~kind:Graph.R in
+  let above =
+    [| below.(0); (hot, Array.init m (fun i -> full.(i).(hot) + shift + 1000 + i)); below.(1) |]
+  in
+  let oracle =
+    Array.mapi
+      (fun i s ->
+        let lower v =
+          Array.fold_left
+            (fun acc (u, row) -> if u = v then max acc row.(i) else acc)
+            0 above
+        in
+        pinned_reference g s ~n_pinned
+          ~pinned_row:(fun v -> pinned.((v * m) + i))
+          ~lower)
+      sets
+  in
+  Alcotest.(check bool) "the raised floor reaches the sink" true
+    (oracle.(0).(n - 1) > full.(0).(n - 1) + shift);
+  check_all ~detail:"floor above" above (fun i v -> oracle.(i).(v))
+
+let test_pinned_rebased_exact () =
+  (* mcf never uses a long-latency ALU op, so its lanes also fall into
+     classes the kernel prices once, where their pinned and floor values
+     agree *)
+  List.iter pinned_rebased_exact [ "gcc"; "mcf" ]
+
+let test_builder_floors () =
+  (* floors may be added in any node order; each binds only its own node *)
+  let b = Graph.Builder.create () in
+  Graph.Builder.note_instr b;
+  Graph.Builder.note_instr b;
+  let d0 = Graph.node ~seq:0 ~kind:Graph.D and d1 = Graph.node ~seq:1 ~kind:Graph.D in
+  Graph.Builder.add_edge b ~src:d0 ~dst:d1 ~kind:Graph.DD ();
+  Graph.Builder.add_floor b ~node:d1 ~base:7
+    ~components:[ { Graph.cat = Category.Imiss; lat = 5 } ];
+  Graph.Builder.add_floor b ~node:d0 ~base:2
+    ~components:[ { Graph.cat = Category.Bw; lat = 3 } ];
+  let c0 = Graph.node ~seq:0 ~kind:Graph.C in
+  Graph.Builder.add_floor b ~node:c0 ~base:1
+    ~components:[ { Graph.cat = Category.Shalu; lat = 1 } ];
+  let g = Graph.Builder.finish b in
+  let at cat v =
+    (Graph.eval ~ideal:(Option.fold ~none:Category.Set.empty ~some:Category.Set.singleton cat) g).(v)
+  in
+  Alcotest.(check (list int)) "D0, D1, C0 under none / bw / imiss / shalu"
+    [ 5; 12; 2; 2; 12; 5; 7; 1 ]
+    [ at None d0; at None d1; at None c0; at (Some Category.Bw) d0;
+      at (Some Category.Bw) d1; at (Some Category.Imiss) d0;
+      at (Some Category.Imiss) d1; at (Some Category.Shalu) c0 ];
+  Alcotest.(check bool) "sliced = scalar" true
+    (Graph.eval_subsets g all_subsets = Graph.eval_subsets_scalar g all_subsets)
+
+let test_marshal_layout_pinned () =
+  (* MD5s of the bytes the record-based builder wrote for these kernels:
+     the flat builder must reproduce them byte for byte (CSR order within
+     a node included), or existing icost.graphcache.v1 snapshot files
+     would stop loading *)
+  List.iter
+    (fun (name, cfg, md5) ->
+      let _, _, _, g = graph_of ~max_instrs:2000 ~cfg name in
+      let s = Graph.marshal g in
+      Alcotest.(check string) (name ^ " bytes") md5 (Digest.to_hex (Digest.string s));
+      let g' = Graph.unmarshal s in
+      Alcotest.(check bool) (name ^ " re-marshal") true (Graph.marshal g' = s);
+      Alcotest.(check bool) (name ^ " critical path") true
+        (Graph.critical_path g' = Graph.critical_path g))
+    [
+      ("gcc", Config.default, "f9846dd3b6b37928ac2d1bf5f5cafc31");
+      ("mcf", Config.loop_dl1, "ba92ed16244f8725a654521c1246dfa7");
+    ]
 
 let prop_eval_deterministic =
   QCheck.Test.make ~name:"evaluation is deterministic" ~count:5
@@ -251,7 +421,11 @@ let suite =
       Alcotest.test_case "Table 2 ablations" `Quick test_table2_ablations;
       Alcotest.test_case "DOT output" `Quick test_dot_output;
       Alcotest.test_case "sliced eval = scalar" `Quick test_sliced_matches_scalar;
-      Alcotest.test_case "sliced eval unpacked fallback" `Quick
-        test_sliced_unpacked_fallback;
+      Alcotest.test_case "sliced eval over-bound path" `Quick
+        test_sliced_over_bound_path;
+      Alcotest.test_case "pinned kernel rebases exactly" `Quick
+        test_pinned_rebased_exact;
+      Alcotest.test_case "builder floors in any order" `Quick test_builder_floors;
+      Alcotest.test_case "marshal bytes pinned" `Quick test_marshal_layout_pinned;
       QCheck_alcotest.to_alcotest prop_eval_deterministic;
     ] )

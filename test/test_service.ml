@@ -1026,14 +1026,34 @@ let test_serve_backpressure_and_drain () =
   (* wait for the daemon, then drop the probe connection *)
   Client.close (Client.connect ~retry_for:10.0 ~socket ());
 
-  (* Pipeline 7 cold analysis requests at once: the first occupies the
-     worker (cold preparation), at most one more fits the queue, the rest
-     must be refused with the typed overloaded error — and every accepted
-     request must still be answered.  Each request names a distinct
-     target (so none can be answered from a cache): whenever the worker
-     frees up, the next accepted request is itself a cold build, and the
-     burst behind it still overflows the one-slot queue regardless of
-     how thread scheduling interleaves builds with the reader. *)
+  (* Occupy the only worker first: a cold analysis over a long window,
+     sent on its own connection, that stays in flight for on the order
+     of a second.  Status is answered inline by the connection reader, so
+     it can confirm the worker has taken the job and the queue is empty
+     before the burst is sent. *)
+  let blocker = { tg with P.measure = 200_000 } in
+  let bfd = raw_connect socket in
+  raw_send bfd
+    (P.encode_request (req ~id:100 (P.Breakdown { target = blocker; focus = "dl1" }))
+     ^ "\n");
+  Client.with_client ~retry_for:10.0 ~socket (fun c ->
+      let give_up = Unix.gettimeofday () +. 10.0 in
+      let rec wait_busy () =
+        match (Client.call c (req ~id:101 P.Status)).P.body with
+        | Ok (P.R_status st) when st.P.inflight >= 1 && st.P.queue_depth = 0 -> ()
+        | Ok (P.R_status _) when Unix.gettimeofday () < give_up ->
+          Thread.delay 0.001;
+          wait_busy ()
+        | Ok (P.R_status _) -> Alcotest.fail "worker never picked up the long job"
+        | _ -> Alcotest.fail "status reply malformed"
+      in
+      wait_busy ());
+
+  (* Pipeline 7 cold analysis requests at once while the worker is busy:
+     at most one fits the one-slot queue, the rest must be refused with
+     the typed overloaded error — and every accepted request must still
+     be answered.  Each request names a distinct target, so none can be
+     answered from a cache. *)
   let total = 7 in
   let fd = raw_connect socket in
   let buf = Buffer.create 1024 in
@@ -1059,6 +1079,10 @@ let test_serve_backpressure_and_drain () =
   Alcotest.(check int) "only breakdown/overloaded replies" 0 other;
   Alcotest.(check bool) "accepted requests answered" true (ok >= 1);
   Alcotest.(check bool) "queue overflow refused" true (overloaded >= 4);
+  (match List.map decode_reply_exn (raw_read_lines bfd 1) with
+   | [ { P.rep_id = 100; body = Ok (P.R_breakdown _) } ] -> ()
+   | _ -> Alcotest.fail "long job not answered");
+  Unix.close bfd;
 
   (* Shutdown with a request in flight: pipeline a cold analysis (fresh
      cache key) and a shutdown on one connection.  The reader accepts the

@@ -121,6 +121,25 @@ let test_stream_matches_monolithic () =
       ("vortex", Config.default, 100_000) (* single segment *);
     ]
 
+(* Huge L1 latencies: carried times and in-fragment paths overflow the
+   21-bit packed field, so fragments are priced on the 2 x 31-bit kernel
+   (500k cycles) or the scalar reference (5M cycles); the aggregate must
+   still equal the monolithic scalar sweep. *)
+let test_stream_over_bound () =
+  List.iter
+    (fun (dl1_lat, path) ->
+      let cfg = { Config.default with Config.dl1_lat } in
+      let strace, sevts = prepare ~warmup:1000 ~measure:3000 ~cfg "gcc" in
+      let g = Build.of_sim cfg strace sevts (Ooo.run cfg strace sevts) in
+      let expected = Graph.eval_subsets_scalar g all_sets in
+      let r, moved =
+        Test_graph.counting [ path ] (fun () ->
+            Score.analyze ~segment_insns:1024 cfg (window_source strace sevts))
+      in
+      Alcotest.(check bool) (path ^ " taken") true (List.hd moved > 0);
+      check_times (Printf.sprintf "dl1_lat=%d" dl1_lat) expected r)
+    [ (500_000, "graph.wide_evals"); (5_000_000, "graph.scalar_fallbacks") ]
+
 let test_segment_invariance () =
   let strace, sevts = prepare "parser" in
   let run seg = Score.analyze ~segment_insns:seg Config.default (window_source strace sevts) in
@@ -332,4 +351,5 @@ let suite =
         test_program_source_equals_window;
       Alcotest.test_case "seeded miss-window seams" `Quick
         test_seeded_miss_window_seams;
+      Alcotest.test_case "over-bound fragments exact" `Quick test_stream_over_bound;
     ] )
