@@ -2,7 +2,6 @@
    event annotation, baseline simulation and graph construction; print the
    headline statistics. *)
 
-module Interp = Icost_isa.Interp
 module Trace = Icost_isa.Trace
 module Config = Icost_uarch.Config
 module Events = Icost_uarch.Events
@@ -10,6 +9,7 @@ module Ooo = Icost_sim.Ooo
 module Build = Icost_depgraph.Build
 module Graph = Icost_depgraph.Graph
 module Workload = Icost_workloads.Workload
+module Source = Icost_stream.Source
 
 let () =
   let cfg = Config.default in
@@ -20,13 +20,7 @@ let () =
     (fun (w : Workload.t) ->
       let program = w.build () in
       let t0 = Unix.gettimeofday () in
-      let trace =
-        Interp.run ~config:{ Interp.default_config with max_instrs = warmup + measure }
-          program
-      in
-      let evts, _sum = Events.annotate cfg trace in
-      let trace = Trace.slice trace ~start:warmup ~len:measure in
-      let evts = Events.slice evts ~start:warmup ~len:measure in
+      let trace, evts, _ = Source.window cfg program ~warmup ~max_insns:measure in
       let result = Ooo.run cfg trace evts in
       let g = Build.of_sim cfg trace evts result in
       let cp = Graph.critical_length g in

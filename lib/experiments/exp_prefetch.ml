@@ -18,8 +18,8 @@
 
 module Config = Icost_uarch.Config
 module Events = Icost_uarch.Events
-module Interp = Icost_isa.Interp
 module Trace = Icost_isa.Trace
+module Stream_source = Icost_stream.Source
 module Ooo = Icost_sim.Ooo
 module Build = Icost_depgraph.Build
 module Graph = Icost_depgraph.Graph
@@ -43,17 +43,12 @@ type row = {
 let study_one (s : Runner.settings) (cfg : Config.t) name : row =
   let w = Workload.find_exn name in
   let program = w.build () in
-  let trace =
-    Interp.run ~config:{ Interp.default_config with max_instrs = s.warmup + s.measure }
-      program
+  let window prefetch =
+    Stream_source.window ~prefetch cfg program ~warmup:s.warmup
+      ~max_insns:s.measure
   in
-  let annotate prefetch =
-    let evts, _ = Events.annotate ~prefetch cfg trace in
-    Events.slice evts ~start:s.warmup ~len:s.measure
-  in
-  let evts = annotate Events.no_prefetch in
-  let evts_pf = annotate { Events.no_prefetch with stride_loads = true } in
-  let mtrace = Trace.slice trace ~start:s.warmup ~len:s.measure in
+  let mtrace, evts, _ = window Events.no_prefetch in
+  let _, evts_pf, _ = window { Events.no_prefetch with stride_loads = true } in
   let result = Ooo.run cfg mtrace evts in
   let result_pf = Ooo.run cfg mtrace evts_pf in
   let realized =
@@ -169,14 +164,9 @@ type conclusion_row = {
 
 let conclusion_one (s : Runner.settings) (cfg : Config.t) name : conclusion_row option =
   let w = Workload.find_exn name in
-  let program = w.build () in
-  let trace =
-    Interp.run ~config:{ Interp.default_config with max_instrs = s.warmup + s.measure }
-      program
+  let mtrace, evts, _ =
+    Stream_source.window cfg (w.build ()) ~warmup:s.warmup ~max_insns:s.measure
   in
-  let evts_full, _ = Events.annotate cfg trace in
-  let mtrace = Trace.slice trace ~start:s.warmup ~len:s.measure in
-  let evts = Events.slice evts_full ~start:s.warmup ~len:s.measure in
   let result = Ooo.run cfg mtrace evts in
   let graph = Build.of_sim cfg mtrace evts result in
   let sc = Static_costs.create cfg mtrace evts graph in

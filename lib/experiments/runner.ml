@@ -1,8 +1,12 @@
 (** Shared machinery for the paper-reproduction experiments.
 
-    Each experiment prepares workloads once (interpret, annotate events,
-    slice off the warm-up) and then obtains cost oracles on top of the
-    prepared execution:
+    Each experiment prepares workloads once and then obtains cost oracles
+    on top of the prepared execution.  Preparation is one streaming pass
+    ({!Icost_stream.Source.window}, the front end the streaming engine
+    uses too): the warm-up is interpreted and annotated to warm caches,
+    TLBs and the predictor but never stored, and only the measured window
+    is collected, renumbered exactly as [Trace.slice]/[Events.slice] would.
+    The oracles are:
 
     - [multisim_oracle]: re-times the trace per idealization (Section 2);
     - [graph_oracle]: one baseline timing run, then graph re-evaluation
@@ -15,7 +19,6 @@
     all experiment configurations share, so preparation is reused across
     machine variants (different latencies, window sizes, bandwidths). *)
 
-module Interp = Icost_isa.Interp
 module Trace = Icost_isa.Trace
 module Program = Icost_isa.Program
 module Config = Icost_uarch.Config
@@ -43,28 +46,25 @@ type prepared = {
   evts : Events.evt array;
 }
 
-(** Interpret and annotate one workload.  Annotation uses the *structural*
-    configuration (caches, TLBs, predictor), which is identical across all
-    experiment variants. *)
+(** Interpret and annotate one workload's measured window.  Annotation
+    uses the *structural* configuration (caches, TLBs, predictor), which is
+    identical across all experiment variants.  @raise Invalid_argument if
+    the program does not run past the warm-up. *)
 let c_prepared = Icost_util.Telemetry.counter "runner.workloads_prepared"
 
 let prepare ?(structural = Config.default) (s : settings) (w : Workload.t) :
     prepared =
   let sp = Icost_util.Telemetry.start_span "runner.prepare" in
   let program = w.build () in
-  let trace =
-    Interp.run
-      ~config:{ Interp.default_config with max_instrs = s.warmup + s.measure }
-      program
+  let trace, evts, executed =
+    Stream_source.window structural program ~warmup:s.warmup
+      ~max_insns:s.measure
   in
-  let evts, _summary = Events.annotate structural trace in
-  let len = min s.measure (Trace.length trace - s.warmup) in
+  let len = Trace.length trace in
   if len <= 0 then
     invalid_arg
       (Printf.sprintf "Runner.prepare: %s produced only %d instructions" w.name
-         (Trace.length trace));
-  let trace = Trace.slice trace ~start:s.warmup ~len in
-  let evts = Events.slice evts ~start:s.warmup ~len in
+         executed);
   Icost_util.Telemetry.incr c_prepared;
   if Icost_util.Telemetry.enabled () then
     Icost_util.Telemetry.end_span sp
@@ -72,9 +72,10 @@ let prepare ?(structural = Config.default) (s : settings) (w : Workload.t) :
   else Icost_util.Telemetry.end_span sp;
   { name = w.name; program; trace; evts }
 
-(* Preparation (interpret + annotate + slice) is independent per workload
-   and shares no mutable state, so it fans out across the domain pool;
-   results keep the order of [s.benches]. *)
+(* Preparation (one interpret-and-annotate pass that keeps only the
+   measured window) is independent per workload and shares no mutable
+   state, so it fans out across the domain pool; results keep the order of
+   [s.benches]. *)
 let prepare_all ?structural (s : settings) : prepared list =
   Icost_util.Telemetry.with_span "runner.prepare_all" (fun () ->
       Icost_util.Pool.parallel_map_list

@@ -16,24 +16,94 @@ type config = {
 
 let default_config = { max_instrs = 100_000; trap_div_by_zero = false }
 
+(* Sparse word-addressed memory.  Aligned words live in pages of
+   [page_words] ints, created on first write and found by page number (a
+   one-entry cache in front of the page table catches the common run of
+   accesses to one page); misaligned byte addresses keep an exact side
+   table.  Every address is its own cell, as in a flat address -> word map,
+   and a cell never written reads as [fill].  Pages hold 1024 words
+   (8 KiB): interpreting 230k instructions of gcc, mcf, gzip, vpr and bzip2
+   cost the same within noise at 2^10 to 2^14 words per page, while 2^8
+   doubled the time to seed mcf's 278,528-word image. *)
+module Paged = struct
+  let word_bits = 3
+  let page_bits = 10
+  let page_words = 1 lsl page_bits
+
+  type t = {
+    fill : int;
+    pages : (int, int array) Hashtbl.t;
+    odd : (int, int) Hashtbl.t;
+    mutable last_pn : int;
+    mutable last_page : int array;
+  }
+
+  let create ~fill =
+    {
+      fill;
+      pages = Hashtbl.create 64;
+      odd = Hashtbl.create 16;
+      last_pn = min_int;
+      last_page = [||];
+    }
+
+  let aligned addr = addr land ((1 lsl word_bits) - 1) = 0
+  let page_number addr = addr asr (word_bits + page_bits)
+  let slot addr = (addr asr word_bits) land (page_words - 1)
+
+  let find_page t pn =
+    if pn = t.last_pn then t.last_page
+    else
+      match Hashtbl.find_opt t.pages pn with
+      | Some page ->
+        t.last_pn <- pn;
+        t.last_page <- page;
+        page
+      | None -> [||]
+
+  let get t addr =
+    if aligned addr then
+      let page = find_page t (page_number addr) in
+      if Array.length page = 0 then t.fill else Array.unsafe_get page (slot addr)
+    else Option.value ~default:t.fill (Hashtbl.find_opt t.odd addr)
+
+  let set t addr v =
+    if aligned addr then begin
+      let pn = page_number addr in
+      let page = find_page t pn in
+      let page =
+        if Array.length page > 0 then page
+        else begin
+          let page = Array.make page_words t.fill in
+          Hashtbl.replace t.pages pn page;
+          t.last_pn <- pn;
+          t.last_page <- page;
+          page
+        end
+      in
+      Array.unsafe_set page (slot addr) v
+    end
+    else Hashtbl.replace t.odd addr v
+end
+
 type state = {
   regs : int array;
-  mem : (int, int) Hashtbl.t;
+  mem : Paged.t;
   mutable pc_ix : int;  (** static index of the next instruction *)
 }
 
 let init_state (p : Program.t) =
-  let mem = Hashtbl.create 4096 in
-  List.iter (fun (addr, v) -> Hashtbl.replace mem addr v) p.mem_image;
+  let mem = Paged.create ~fill:0 in
+  List.iter (fun (addr, v) -> Paged.set mem addr v) p.mem_image;
   { regs = Array.make Isa.num_regs 0; mem; pc_ix = p.entry }
 
 let read_reg st r = if r = Isa.reg_zero then 0 else st.regs.(r)
 
 let write_reg st r v = if r <> Isa.reg_zero then st.regs.(r) <- v
 
-let read_mem st addr = Option.value ~default:0 (Hashtbl.find_opt st.mem addr)
+let read_mem st addr = Paged.get st.mem addr
 
-let write_mem st addr v = Hashtbl.replace st.mem addr v
+let write_mem st addr v = Paged.set st.mem addr v
 
 let eval_alu cfg op a b =
   match op with
@@ -78,8 +148,9 @@ type stepper = {
   (* last_writer.(r) = seq of the most recent dynamic instruction that wrote
      register r, or -1 if none yet. *)
   s_last_writer : int array;
-  (* last_store maps byte address -> seq of most recent store to it. *)
-  s_last_store : (int, int) Hashtbl.t;
+  (* last_store maps byte address -> seq of most recent store to it, -1 if
+     none. *)
+  s_last_store : Paged.t;
   mutable s_count : int;
   mutable s_halted : bool;
 }
@@ -91,7 +162,7 @@ let stepper ?(config = default_config) (p : Program.t) : stepper =
     s_len = Program.length p;
     s_st = init_state p;
     s_last_writer = Array.make Isa.num_regs (-1);
-    s_last_store = Hashtbl.create 1024;
+    s_last_store = Paged.create ~fill:(-1);
     s_count = 0;
     s_halted = false;
   }
@@ -132,13 +203,14 @@ let step (s : stepper) : Trace.dyn option =
        | Isa.Load { rd; base; offset } ->
          let addr = read_reg st base + offset in
          mem_addr := Some addr;
-         mem_dep := Hashtbl.find_opt s.s_last_store addr;
+         let w = Paged.get s.s_last_store addr in
+         if w >= 0 then mem_dep := Some w;
          write_reg st rd (read_mem st addr)
        | Isa.Store { rs; base; offset } ->
          let addr = read_reg st base + offset in
          mem_addr := Some addr;
          write_mem st addr (read_reg st rs);
-         Hashtbl.replace s.s_last_store addr seq
+         Paged.set s.s_last_store addr seq
        | Isa.Branch { cond; rs1; rs2; target } ->
          if eval_cond cond (read_reg st rs1) (read_reg st rs2) then begin
            taken := true;
@@ -180,6 +252,8 @@ let step (s : stepper) : Trace.dyn option =
 let stepped s = s.s_count
 
 let halted s = s.s_halted
+
+let reg s r = read_reg s.s_st r
 
 (** [run ?config program] executes [program] and returns its trace. *)
 let run ?(config = default_config) (p : Program.t) : Trace.t =

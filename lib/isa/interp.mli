@@ -41,3 +41,6 @@ val stepped : stepper -> int
 
 val halted : stepper -> bool
 (** True iff a [Halt] was executed. *)
+
+val reg : stepper -> Isa.reg -> int
+(** Current architectural value of a register (0 for [reg_zero]). *)

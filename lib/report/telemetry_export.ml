@@ -24,6 +24,8 @@ type manifest = {
   retries : int;  (* client re-sends this run (service.retries) *)
   respawns : int;  (* supervisor shard respawns (service.respawns) *)
   failovers : int;  (* re-delivered in-flight requests (service.failovers) *)
+  cores : int;  (* Domain.recommended_domain_count *)
+  cpu_model : string;  (* first "model name" in /proc/cpuinfo, or "unknown" *)
 }
 
 let digest v = Digest.to_hex (Digest.string (Marshal.to_string v []))
@@ -36,6 +38,24 @@ let git_describe () =
     | Unix.WEXITED 0 when line <> "" -> line
     | _ -> "unknown"
   with _ -> "unknown"
+
+(* The first non-empty "model name" of /proc/cpuinfo, or "unknown". *)
+let cpu_model () =
+  let model line =
+    match String.split_on_char ':' line with
+    | key :: rest when String.trim key = "model name" ->
+      String.trim (String.concat ":" rest)
+    | _ -> ""
+  in
+  try
+    In_channel.with_open_text "/proc/cpuinfo" (fun ic ->
+        let rec scan () =
+          match In_channel.input_line ic with
+          | None -> "unknown"
+          | Some line -> ( match model line with "" -> scan () | m -> m)
+        in
+        scan ())
+  with Sys_error _ -> "unknown"
 
 let manifest ?(version = "1.0.0") ?(config_digest = "") ?(seed = 0) ?service
     ~workloads () =
@@ -57,6 +77,8 @@ let manifest ?(version = "1.0.0") ?(config_digest = "") ?(seed = 0) ?service
     retries = Telemetry.value (Telemetry.counter "service.retries");
     respawns = Telemetry.value (Telemetry.counter "service.respawns");
     failovers = Telemetry.value (Telemetry.counter "service.failovers");
+    cores = Domain.recommended_domain_count ();
+    cpu_model = cpu_model ();
   }
 
 (* ---------- JSON emission ---------- *)
@@ -105,6 +127,8 @@ let manifest_json (m : manifest) =
        ("retries", string_of_int m.retries);
        ("respawns", string_of_int m.respawns);
        ("failovers", string_of_int m.failovers);
+       ("cores", string_of_int m.cores);
+       ("cpu_model", jstr m.cpu_model);
      ]
     @
     match m.service with

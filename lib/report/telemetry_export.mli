@@ -14,9 +14,10 @@
       path with counts and total durations.
 
     Every JSON artifact embeds a {!manifest} — config digest, workload
-    list, sampling seed, job count, git revision — so artifacts from
-    different machines and CI runs are comparable (same manifest modulo
-    [git] ⇒ same measured configuration). *)
+    list, sampling seed, job count, git revision, host cores and CPU
+    model — so artifacts from different machines and CI runs are
+    comparable (same manifest modulo [git] ⇒ same measured configuration
+    on the same kind of host). *)
 
 type manifest = {
   tool : string;
@@ -43,6 +44,12 @@ type manifest = {
   failovers : int;
       (** in-flight requests re-delivered after a shard death or drain
           ([service.failovers]); 0 outside a sharded router process *)
+  cores : int;
+      (** [Domain.recommended_domain_count] of the host: read with [jobs],
+          it says whether a parallel row ran on as many cores as it asked
+          for *)
+  cpu_model : string;
+      (** first ["model name"] of [/proc/cpuinfo], or ["unknown"] *)
 }
 
 val digest : 'a -> string
@@ -60,7 +67,8 @@ val manifest :
   unit ->
   manifest
 (** Assemble a manifest for the current process ([git], [ocaml], [jobs],
-    [icost_jobs_env], [faults] and [retries] are captured here). *)
+    [icost_jobs_env], [faults], [retries], [cores] and [cpu_model] are
+    captured here). *)
 
 val manifest_json : manifest -> string
 (** The manifest alone as a JSON object (embedded verbatim in both

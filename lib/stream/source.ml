@@ -8,7 +8,9 @@
     predictor) but not yielded, and the measured window is renumbered from
     0 with dangling producer references dropped — exactly the semantics of
     [Trace.slice]/[Events.slice], so downstream consumers see the same
-    stream the monolithic pipeline would. *)
+    stream the monolithic pipeline would.  [window] runs the same front
+    end and collects the measured window into arrays: cold preparation
+    ([Runner.prepare]) and the streaming engine share one warm-up path. *)
 
 module Trace = Icost_isa.Trace
 module Interp = Icost_isa.Interp
@@ -46,7 +48,13 @@ let renumber_evt ~start (e : Events.evt) : Events.evt =
   let remap j = if j >= start then Some (j - start) else None in
   { e with share_src = Option.bind e.share_src remap }
 
-let of_program ?prefetch (cfg : Config.t) (p : Program.t) ~warmup ~max_insns : t =
+(* The one front end of both paths: a stepper budgeted for
+   [warmup + max_insns] instructions and an annotator; the first [warmup]
+   instructions are interpreted and classified (warming caches, TLBs and
+   the branch predictor) and dropped, and the returned source pulls the
+   rest, renumbered as [Trace.slice]/[Events.slice] do. *)
+let start ?prefetch (cfg : Config.t) (p : Program.t) ~warmup ~max_insns :
+    Interp.stepper * t =
   let warmup = max 0 warmup in
   let icfg = { Interp.default_config with max_instrs = warmup + max_insns } in
   let stepper = Interp.stepper ~config:icfg p in
@@ -60,9 +68,52 @@ let of_program ?prefetch (cfg : Config.t) (p : Program.t) ~warmup ~max_insns : t
       | None -> ()
   in
   burn warmup;
-  fun () ->
-    match Interp.step stepper with
-    | None -> None
-    | Some d ->
-      let e = Events.annotate_next ann d in
-      Some (renumber_dyn ~start:warmup d, renumber_evt ~start:warmup e)
+  ( stepper,
+    fun () ->
+      match Interp.step stepper with
+      | None -> None
+      | Some d ->
+        let e = Events.annotate_next ann d in
+        Some (renumber_dyn ~start:warmup d, renumber_evt ~start:warmup e) )
+
+let of_program ?prefetch (cfg : Config.t) (p : Program.t) ~warmup ~max_insns : t =
+  snd (start ?prefetch cfg p ~warmup ~max_insns)
+
+(* Drain [next] into arrays sized for the whole budget up front (capped, then
+   doubled), so a window that runs to its budget is filled in place and
+   only one that halts early is trimmed by a copy. *)
+let drain ~max_insns (next : t) : Trace.dyn array * Events.evt array =
+  match next () with
+  | None -> ([||], [||])
+  | Some (d0, e0) ->
+    let cap = min max_insns 65536 in
+    let instrs = ref (Array.make cap d0) and evts = ref (Array.make cap e0) in
+    let n = ref 1 in
+    let rec fill () =
+      match next () with
+      | None -> ()
+      | Some (d, e) ->
+        if !n = Array.length !instrs then begin
+          let grow a x =
+            let b = Array.make (min max_insns (2 * !n)) x in
+            Array.blit a 0 b 0 !n;
+            b
+          in
+          instrs := grow !instrs d;
+          evts := grow !evts e
+        end;
+        !instrs.(!n) <- d;
+        !evts.(!n) <- e;
+        incr n;
+        fill ()
+    in
+    fill ();
+    let trim a = if Array.length a = !n then a else Array.sub a 0 !n in
+    (trim !instrs, trim !evts)
+
+let window ?prefetch (cfg : Config.t) (p : Program.t) ~warmup ~max_insns =
+  let stepper, next = start ?prefetch cfg p ~warmup ~max_insns in
+  let instrs, evts = drain ~max_insns next in
+  ( { Trace.program = p; instrs; halted = Interp.halted stepper },
+    evts,
+    Interp.stepped stepper )

@@ -26,3 +26,19 @@ val of_program :
     then up to [max_insns] measured instructions are yielded with
     [Trace.slice]/[Events.slice] renumbering semantics.  Peak memory is
     O(architectural state), independent of the instruction count. *)
+
+val window :
+  ?prefetch:Events.prefetch ->
+  Config.t ->
+  Program.t ->
+  warmup:int ->
+  max_insns:int ->
+  Trace.t * Events.evt array * int
+(** The same warm-up and renumbering as {!of_program}, with the measured
+    window collected into arrays: equal to interpreting [warmup + max_insns]
+    instructions, annotating them and taking
+    [Trace.slice]/[Events.slice] of the part after [warmup] (clamped to what
+    the program ran), but without materializing the warm-up.  The trace's
+    [halted] is the interpreter's own flag.  The [int] is the number of
+    instructions executed in all, warm-up included (what a caller reports
+    when the window comes back empty). *)

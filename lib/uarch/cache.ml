@@ -10,9 +10,12 @@ type t = {
   sets : int;
   ways : int;
   line_bits : int;  (** log2 of line size; 0 for TLBs indexed by page *)
+  set_bits : int;  (** log2 of [sets] *)
   tags : int array array;  (** [sets][ways], -1 = invalid *)
   stamps : int array array;  (** LRU timestamps *)
   mutable clock : int;
+  mutable mru_line : int;  (** line of the last access, -1 before the first *)
+  mutable mru_way : int;  (** the way it was found in or filled *)
   mutable accesses : int;
   mutable misses : int;
 }
@@ -36,9 +39,12 @@ let create ~name ~lines ~ways ~line_size =
     sets;
     ways;
     line_bits = log2 line_size;
+    set_bits = log2 sets;
     tags = Array.init sets (fun _ -> Array.make ways (-1));
     stamps = Array.init sets (fun _ -> Array.make ways 0);
     clock = 0;
+    mru_line = -1;
+    mru_way = 0;
     accesses = 0;
     misses = 0;
   }
@@ -51,7 +57,7 @@ let line_addr t addr = addr lsr t.line_bits
 
 let set_of t line = line land (t.sets - 1)
 
-let tag_of t line = line lsr log2 t.sets
+let tag_of t line = line lsr t.set_bits
 
 (** [probe t addr] checks for presence without updating any state. *)
 let probe t addr =
@@ -69,24 +75,36 @@ let access t addr =
   let set = set_of t line in
   let tag = tag_of t line in
   let tags = t.tags.(set) and stamps = t.stamps.(set) in
-  let found = ref (-1) in
-  for w = 0 to t.ways - 1 do
-    if tags.(w) = tag then found := w
-  done;
-  if !found >= 0 then begin
-    stamps.(!found) <- t.clock;
+  (* A tag sits in at most one way of its set, so the scan may stop at the
+     first match.  The line of the previous access is still in the way it
+     was found in or filled into (nothing has touched the cache since), so
+     a repeat access is a hit there without a scan: fully associative TLBs
+     re-touch the same page on almost every access. *)
+  if line = t.mru_line then begin
+    stamps.(t.mru_way) <- t.clock;
     true
   end
   else begin
-    t.misses <- t.misses + 1;
-    (* evict LRU *)
-    let victim = ref 0 in
-    for w = 1 to t.ways - 1 do
-      if stamps.(w) < stamps.(!victim) then victim := w
-    done;
-    tags.(!victim) <- tag;
-    stamps.(!victim) <- t.clock;
-    false
+    let rec find w = if w = t.ways || tags.(w) = tag then w else find (w + 1) in
+    let found = find 0 in
+    t.mru_line <- line;
+    if found < t.ways then begin
+      stamps.(found) <- t.clock;
+      t.mru_way <- found;
+      true
+    end
+    else begin
+      t.misses <- t.misses + 1;
+      (* evict LRU *)
+      let victim = ref 0 in
+      for w = 1 to t.ways - 1 do
+        if stamps.(w) < stamps.(!victim) then victim := w
+      done;
+      tags.(!victim) <- tag;
+      stamps.(!victim) <- t.clock;
+      t.mru_way <- !victim;
+      false
+    end
   end
 
 let miss_rate t = if t.accesses = 0 then 0. else float_of_int t.misses /. float_of_int t.accesses

@@ -153,6 +153,105 @@ let test_mixes () =
   Alcotest.(check int) "stores" 1 (Trace.num_stores t);
   Alcotest.(check int) "branches" 1 (Trace.num_branches t)
 
+(* Memory is paged by aligned word with an exact side table for
+   misaligned addresses; every byte address must still behave as its own
+   cell of a flat address -> word map.  The program stores to and loads
+   from misaligned and negative addresses, both sides of page boundaries
+   (8 KiB pages, and the page -1 / page 0 seam), far addresses, cells
+   never written and image words (aligned and not) that are later
+   overwritten.  After every operation all registers must equal a
+   Hashtbl-model's, and every load's store-forwarding source must be the
+   model's last store to that exact address. *)
+type mem_op = St of int * int | Ld of int * Isa.reg
+
+let test_memory_exact () =
+  let image = [ (0x1FF8, 66); (0x2000, 77); (0x3005, 88); (-0x2000, 99) ] in
+  let far = 1 lsl 40 in
+  let ops =
+    [ Ld (0x1FF8, 3); Ld (0x2000, 4); Ld (0x3005, 5); Ld (-0x2000, 6);
+      St (0x2000, 5); Ld (0x2000, 7); Ld (0x1FF8, 8);
+      St (0x2003, 9); Ld (0x2003, 9); Ld (0x2000, 10); Ld (0x2004, 11);
+      St (0x2001, 11); Ld (0x2003, 12); Ld (0x2001, 13);
+      St (0x3005, 12); Ld (0x3005, 14); St (-0x2000, 1); Ld (-0x2000, 15);
+      St (-8, 13); St (-16, 14); Ld (-8, 16); Ld (-16, 17); Ld (-24, 18);
+      St (-3, 15); Ld (-3, 19); Ld (-8, 20); St (0, 21); Ld (-8, 21);
+      Ld (0, 22); St (0x1FFF, 23); Ld (0x1FFF, 23); Ld (0x1FF8, 24);
+      St (far, 24); Ld (far, 25); Ld (far + 8, 26); St (-far - 5, 25);
+      Ld (-far - 5, 27); Ld (0x123458, 28); Ld (0x123459, 29);
+      St (0x2000, 26); Ld (0x2000, 30) ]
+  in
+  (* then re-read every address touched, its neighbours and the same slot
+     one page either side, so two cells that wrongly share storage
+     disagree at the end if not before *)
+  let touched =
+    List.sort_uniq compare
+      (List.map (fun (St (addr, _) | Ld (addr, _)) -> addr) ops @ List.map fst image)
+  in
+  let ops =
+    ops
+    @ List.concat_map
+        (fun addr ->
+          List.map
+            (fun d -> Ld (addr + d, 3 + ((addr + d) land 15)))
+            [ -0x2000; -8; -1; 0; 1; 8; 0x2000 ])
+        touched
+  in
+  let a = Asm.create ~name:"mem" () in
+  List.iter (fun (addr, value) -> Asm.init_word a ~addr ~value) image;
+  (* the address goes in r1 (with a nonzero offset half the time), the
+     stored value in r2 *)
+  let offset i = if i mod 2 = 0 then 0 else -12 in
+  let emit i op =
+    let off = offset i in
+    match op with
+    | St (addr, v) ->
+      Asm.li a ~rd:1 (addr - off);
+      Asm.li a ~rd:2 v;
+      Asm.store a ~rs:2 ~base:1 ~offset:off
+    | Ld (addr, rd) ->
+      Asm.li a ~rd:1 (addr - off);
+      Asm.load a ~rd ~base:1 ~offset:off
+  in
+  List.iteri emit ops;
+  Asm.halt a;
+  let st = Interp.stepper (Asm.assemble a) in
+  let regs = Array.make Isa.num_regs 0 in
+  let mem = Hashtbl.create 16 and last_store = Hashtbl.create 16 in
+  List.iter (fun (addr, v) -> Hashtbl.replace mem addr v) image;
+  let step_n n =
+    let rec go k last =
+      if k = 0 then last
+      else match Interp.step st with
+        | Some d -> go (k - 1) (Some d)
+        | None -> Alcotest.fail "program ended early"
+    in
+    Option.get (go n None)
+  in
+  List.iteri
+    (fun i op ->
+      regs.(1) <- (match op with St (addr, _) | Ld (addr, _) -> addr - offset i);
+      (match op with
+       | St (addr, v) ->
+         let d = step_n 3 in
+         regs.(2) <- v;
+         Hashtbl.replace mem addr v;
+         Hashtbl.replace last_store addr d.Trace.seq;
+         Alcotest.(check (option int)) "store address" (Some addr) d.mem_addr
+       | Ld (addr, rd) ->
+         let d = step_n 2 in
+         regs.(rd) <- Option.value ~default:0 (Hashtbl.find_opt mem addr);
+         Alcotest.(check (option int)) "load address" (Some addr) d.mem_addr;
+         Alcotest.(check (option int))
+           (Printf.sprintf "op %d: forwarding store" i)
+           (Hashtbl.find_opt last_store addr) d.mem_dep);
+      Array.iteri
+        (fun r v ->
+          Alcotest.(check int) (Printf.sprintf "op %d: r%d" i r) v (Interp.reg st r))
+        regs)
+    ops;
+  Alcotest.(check bool) "then halts" true
+    (Interp.step st = None && Interp.halted st)
+
 let prop_workload_determinism =
   QCheck.Test.make ~name:"interpretation is deterministic" ~count:8
     (QCheck.make (QCheck.Gen.oneofl [ "gcc"; "mcf"; "gap"; "crafty" ]))
@@ -179,5 +278,6 @@ let suite =
       Alcotest.test_case "div by zero yields 0" `Quick test_div_by_zero_default;
       Alcotest.test_case "trace slice" `Quick test_slice;
       Alcotest.test_case "class counting" `Quick test_mixes;
+      Alcotest.test_case "memory cells exact" `Quick test_memory_exact;
       QCheck_alcotest.to_alcotest prop_workload_determinism;
     ] )

@@ -17,6 +17,8 @@ module Pool = Icost_util.Pool
 module Fault = Icost_util.Fault
 module Source = Icost_stream.Source
 module Score = Icost_stream.Core
+module Asm = Icost_isa.Asm
+module Runner = Icost_experiments.Runner
 
 let prepare ?(warmup = 2000) ?(measure = 4000) ?(cfg = Config.default) name =
   let w = Workload.find_exn name in
@@ -66,6 +68,90 @@ let test_source_of_program () =
        | Some _ -> Alcotest.failf "%s: source yielded past the window" name
        | None -> ()))
     [ "gcc"; "mcf" ]
+
+(* ---- cold preparation: the streamed window = interpret, annotate, slice ----
+
+   [Runner.prepare] streams its warm-up through [Source.window]; the
+   materialize-then-slice pipeline it replaced is the reference, including
+   the trace's [halted] flag and the error for a warm-up the program does
+   not outlive. *)
+
+let reference_prepare (s : Runner.settings) (w : Workload.t) =
+  let trace =
+    Interp.run
+      ~config:{ Interp.default_config with max_instrs = s.warmup + s.measure }
+      (w.build ())
+  in
+  let evts, _ = Events.annotate Config.default trace in
+  let len = min s.measure (Trace.length trace - s.warmup) in
+  if len <= 0 then
+    invalid_arg
+      (Printf.sprintf "Runner.prepare: %s produced only %d instructions" w.name
+         (Trace.length trace));
+  (Trace.slice trace ~start:s.warmup ~len, Events.slice evts ~start:s.warmup ~len)
+
+let check_prepare_matches (s : Runner.settings) (w : Workload.t) =
+  let rtrace, revts = reference_prepare s w in
+  let p = Runner.prepare s w in
+  if p.trace.instrs <> rtrace.instrs then Alcotest.failf "%s: instrs differ" w.name;
+  if p.evts <> revts then Alcotest.failf "%s: evts differ" w.name;
+  Alcotest.(check bool) (w.name ^ " halted") rtrace.halted p.trace.halted
+
+(* 2 + 5 * iters instructions, then Halt; the loop stores and reloads so
+   store-forwarding sources straddle the warm-up boundary *)
+let halting_workload ~iters =
+  let build () =
+    let a = Asm.create ~name:"halts" () in
+    Asm.li a ~rd:1 iters;
+    Asm.li a ~rd:2 0x4000;
+    Asm.label a "top";
+    Asm.store a ~rs:1 ~base:2 ~offset:0;
+    Asm.load a ~rd:3 ~base:2 ~offset:0;
+    Asm.addi a ~rd:2 ~rs1:2 8;
+    Asm.addi a ~rd:1 ~rs1:1 (-1);
+    Asm.bne a ~rs1:1 ~rs2:0 "top";
+    Asm.halt a;
+    Asm.assemble a
+  in
+  { Workload.name = "halts"; description = "counted store/load loop"; build }
+
+let test_prepare_matches_slice () =
+  List.iter
+    (check_prepare_matches { Runner.warmup = 20_000; measure = 5_000; benches = [] })
+    Workload.all;
+  (* halts inside the window: 402 of the 1000 measured instructions *)
+  let w = halting_workload ~iters:100 in
+  let s = { Runner.warmup = 100; measure = 1000; benches = [] } in
+  check_prepare_matches s w;
+  Alcotest.(check int) "window ends at the halt" 402
+    (Trace.length (Runner.prepare s w).trace);
+  (* halts during the warm-up: both paths refuse with the same message *)
+  let s = { Runner.warmup = 1000; measure = 1000; benches = [] } in
+  let refusal f =
+    match f () with
+    | _ -> Alcotest.fail "warm-up past the halt was accepted"
+    | exception Invalid_argument msg -> msg
+  in
+  Alcotest.(check string) "same refusal"
+    (refusal (fun () -> ignore (reference_prepare s w)))
+    (refusal (fun () -> ignore (Runner.prepare s w)));
+  Alcotest.(check string) "refusal counts the whole run"
+    "Runner.prepare: halts produced only 502 instructions"
+    (refusal (fun () -> ignore (Runner.prepare s w)))
+
+(* MD5s of the marshalled (instrs, evts, halted) the materializing
+   preparation produced at the default scale: an icost.graphcache.v1
+   snapshot marshals the prepared workload, so the streamed path must
+   reproduce it byte for byte. *)
+let test_prepare_bytes_pinned () =
+  List.iter
+    (fun (name, md5) ->
+      let p = Runner.prepare Runner.default_settings (Workload.find_exn name) in
+      let bytes = Marshal.to_string (p.trace.instrs, p.evts, p.trace.halted) [] in
+      Alcotest.(check string) (name ^ " window bytes") md5
+        (Digest.to_hex (Digest.string bytes)))
+    [ ("gcc", "7d053da520f1deaaeb355a996733514b");
+      ("mcf", "f7c7a219cabf5d23657cc6d5d0dfd22a") ]
 
 (* ---- bounded-state simulator: bit-identical slots vs Ooo.run ---- *)
 
@@ -352,4 +438,8 @@ let suite =
       Alcotest.test_case "seeded miss-window seams" `Quick
         test_seeded_miss_window_seams;
       Alcotest.test_case "over-bound fragments exact" `Quick test_stream_over_bound;
+      Alcotest.test_case "prepare = interpret + annotate + slice" `Quick
+        test_prepare_matches_slice;
+      Alcotest.test_case "prepared window bytes pinned" `Quick
+        test_prepare_bytes_pinned;
     ] )

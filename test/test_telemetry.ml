@@ -284,7 +284,14 @@ let check_manifest m =
         Alcotest.(check bool) (Printf.sprintf "manifest.%s >= 0" k) true
           (f >= 0.)
       | _ -> Alcotest.failf "manifest.%s not a number" k)
-    [ "respawns"; "failovers" ]
+    [ "respawns"; "failovers" ];
+  (* the host, so a parallel-vs-sequential row can be read against the
+     cores it actually had *)
+  (match field m "cores" with
+  | Num f -> Alcotest.(check bool) "manifest.cores >= 1" true (f >= 1.)
+  | _ -> Alcotest.fail "manifest.cores not a number");
+  Alcotest.(check bool) "manifest.cpu_model non-empty" true
+    (str_field m "cpu_model" <> "")
 
 let test_artifacts_roundtrip () =
   with_clean_sink @@ fun () ->
