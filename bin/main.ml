@@ -608,8 +608,9 @@ let stream_cmd =
            float_of_int r.Stream.instrs /. float_of_int r.Stream.cycles
          else 0.);
       Printf.printf
-        "  %d segments of %d instructions, peak heap %.1f MB\n"
-        r.Stream.segments r.Stream.segment_insns (Stream.peak_mb r);
+        "  %d segments of %d instructions, peak heap %.1f MB, %d carried rows\n"
+        r.Stream.segments r.Stream.segment_insns (Stream.peak_mb r)
+        r.Stream.peak_carry_rows;
       let o = Cost.memoize (Stream.oracle r) in
       let base = Cost.query o Category.Set.empty in
       List.iter

@@ -34,6 +34,9 @@ type result = {
   cycles : int;  (** baseline time, [times.(Category.Set.empty)] *)
   sim_cycles : int;  (** streaming simulator's own cycle count *)
   peak_heap_words : int;
+  peak_carry_rows : int;
+      (** high-water mark of carried register, store and line rows
+          (gauge [stream.carry_rows]) *)
   seg_stats : seg_stat list;  (** in segment order *)
 }
 
@@ -44,7 +47,11 @@ val default_segment_insns : int
 val analyze : ?segment_insns:int -> Config.t -> Source.t -> result
 (** Stream the source to exhaustion.  Deterministic and invariant under
     both [segment_insns] and the pool job count (each 32-lane chunk is an
-    independent recurrence over a disjoint lane range).
+    independent recurrence over a disjoint lane range).  With more than
+    one job the next segment is pulled, simulated and built on a pool
+    worker while the current one is priced, so the source is called from
+    that worker; it is never called after [analyze] returns or raises,
+    and is called as often at every job count.
     @raise Segment_fault when the [stream_segment] injection point fires. *)
 
 val oracle : result -> Cost.oracle

@@ -174,6 +174,100 @@ let run_batch (total : int) (work : int -> unit) =
 
 let sequential () = jobs () = 1 || Domain.DLS.get in_worker
 
+(* ---- one-task futures ----
+
+   A promise's task runs exactly once, on whichever domain first wins
+   [claimed]: the worker that pops its queue entry, or the awaiting
+   domain if no worker has started it yet.  An awaiter that claims the
+   task also takes its entry out of the queue, so inline runs leave no
+   work behind. *)
+
+type 'a outcome =
+  | Pending
+  | Done of 'a
+  | Failed of exn * Printexc.raw_backtrace
+
+type 'a promise = {
+  task : unit -> 'a;
+  claimed : bool Atomic.t;
+  mutable entry : (unit -> unit) option;  (** queue entry, if queued *)
+  pm : Mutex.t;
+  settled : Condition.t;
+  mutable outcome : 'a outcome;  (** guarded by [pm] *)
+}
+
+let run_task pr =
+  let o =
+    match pr.task () with
+    | v -> Done v
+    | exception e -> Failed (e, Printexc.get_raw_backtrace ())
+  in
+  Mutex.lock pr.pm;
+  pr.outcome <- o;
+  Condition.broadcast pr.settled;
+  Mutex.unlock pr.pm
+
+let async (task : unit -> 'a) : 'a promise =
+  let pr =
+    {
+      task;
+      claimed = Atomic.make false;
+      entry = None;
+      pm = Mutex.create ();
+      settled = Condition.create ();
+      outcome = Pending;
+    }
+  in
+  if not (sequential ()) then begin
+    let p = ensure_pool () in
+    let entry () = if Atomic.compare_and_set pr.claimed false true then run_task pr in
+    pr.entry <- Some entry;
+    Mutex.lock p.mutex;
+    Queue.add entry p.queue;
+    Condition.signal p.work_ready;
+    Mutex.unlock p.mutex
+  end;
+  pr
+
+let await (pr : 'a promise) : 'a =
+  if Atomic.compare_and_set pr.claimed false true then begin
+    (match (pr.entry, !state) with
+     | Some entry, Some p ->
+       Mutex.lock p.mutex;
+       let rest = Queue.create () in
+       Queue.iter (fun j -> if j != entry then Queue.add j rest) p.queue;
+       Queue.clear p.queue;
+       Queue.transfer rest p.queue;
+       Mutex.unlock p.mutex
+     | _ -> ());
+    run_task pr
+  end;
+  Mutex.lock pr.pm;
+  let rec settle () =
+    match pr.outcome with
+    | Pending ->
+      Condition.wait pr.settled pr.pm;
+      settle ()
+    | o -> o
+  in
+  let o = settle () in
+  Mutex.unlock pr.pm;
+  match o with
+  | Done v -> v
+  | Failed (e, bt) -> Printexc.raise_with_backtrace e bt
+  | Pending -> assert false
+
+let workers () = match !state with Some p -> List.length p.domains | None -> 0
+
+let queued () =
+  match !state with
+  | None -> 0
+  | Some p ->
+    Mutex.lock p.mutex;
+    let n = Queue.length p.queue in
+    Mutex.unlock p.mutex;
+    n
+
 let parallel_mapi (f : int -> 'a -> 'b) (a : 'a array) : 'b array =
   let n = Array.length a in
   if n <= 1 || sequential () then Array.mapi f a

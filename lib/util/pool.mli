@@ -48,6 +48,36 @@ val parallel_chunks : int -> (lo:int -> hi:int -> unit) -> unit
     per-task scratch state (e.g. a reusable evaluation buffer) should be
     allocated once per job rather than once per element. *)
 
+(** {2 One-task futures}
+
+    [async]/[await] overlap one task with the caller's own work, e.g. the
+    stream pipeline building the next segment's fragment while the
+    current one is priced.  Contract:
+
+    - [async f] queues [f] for a pool worker and returns at once.  When
+      {!jobs} is 1 or the caller is itself a pool worker, nothing is
+      queued (no domain is ever spawned) and [f] runs at [await].
+    - [await pr] returns [f]'s result, or re-raises its exception with
+      its backtrace.  If no worker has started [f] yet, [await] claims it,
+      takes it off the queue and runs it inline, so awaiting can never
+      deadlock, even while every worker is busy.  Otherwise it blocks
+      until the worker finishes.
+    - [f] runs exactly once, on one domain.  It must not touch state the
+      caller mutates until [await] returns.
+    - Await each promise once; a second [await] returns the same outcome. *)
+
+type 'a promise
+
+val async : (unit -> 'a) -> 'a promise
+val await : 'a promise -> 'a
+
+val workers : unit -> int
+(** Worker domains currently running: 0 before the first parallel call
+    and always at one job. *)
+
+val queued : unit -> int
+(** Entries waiting in the worker queue (0 when no pool is running). *)
+
 val shutdown : unit -> unit
 (** Join all worker domains (idempotent; also registered [at_exit]).  The
     pool restarts transparently on the next parallel call. *)

@@ -1,5 +1,6 @@
 (* Tests for the domain pool: deterministic ordering, exception
-   propagation, nested-map safety, and the ICOST_JOBS=1 degenerate case. *)
+   propagation, nested-map safety, the ICOST_JOBS=1 degenerate case, and
+   the one-task futures (async/await). *)
 
 module Pool = Icost_util.Pool
 
@@ -104,6 +105,86 @@ let test_chunks_partition () =
   (* empty range is a no-op *)
   Pool.parallel_chunks 0 (fun ~lo:_ ~hi:_ -> Alcotest.fail "called on empty range")
 
+(* ---- one-task futures ---- *)
+
+let test_async_jobs_one () =
+  with_jobs 1 (fun () ->
+      let ran = ref 0 in
+      let pr = Pool.async (fun () -> incr ran; Domain.self ()) in
+      Alcotest.(check int) "not run before await" 0 !ran;
+      Alcotest.(check int) "no worker spawned" 0 (Pool.workers ());
+      let d = Pool.await pr in
+      Alcotest.(check int) "run once, at await" 1 !ran;
+      Alcotest.(check bool) "on the awaiting domain" true (d = Domain.self ());
+      Alcotest.(check int) "still no worker" 0 (Pool.workers ()))
+
+let test_async_exception () =
+  List.iter
+    (fun jobs ->
+      with_jobs jobs (fun () ->
+          let pr = Pool.async (fun () -> raise (Boom jobs)) in
+          Alcotest.check_raises "re-raised at await" (Boom jobs) (fun () ->
+              ignore (Pool.await pr))))
+    [ 1; 2 ]
+
+(* Spin until [cond] holds; fail instead of hanging. *)
+let wait_for what cond =
+  let t0 = Unix.gettimeofday () in
+  while not (cond ()) do
+    if Unix.gettimeofday () -. t0 > 30. then Alcotest.failf "timed out: %s" what;
+    Domain.cpu_relax ()
+  done
+
+let test_await_inline_when_busy () =
+  with_jobs 3 (fun () ->
+      (* occupy both workers, each spinning until released *)
+      let started = Atomic.make 0 and release = Atomic.make false in
+      let block () =
+        Atomic.incr started;
+        wait_for "release" (fun () -> Atomic.get release)
+      in
+      let blockers = [ Pool.async block; Pool.async block ] in
+      Fun.protect
+        ~finally:(fun () ->
+          Atomic.set release true;
+          List.iter Pool.await blockers)
+        (fun () ->
+          wait_for "both workers busy" (fun () -> Atomic.get started = 2);
+          let pr = Pool.async (fun () -> (Domain.self (), Atomic.get release)) in
+          let d, released = Pool.await pr in
+          Alcotest.(check bool) "ran inline" true (d = Domain.self ());
+          Alcotest.(check bool) "without waiting for a worker" false released;
+          Alcotest.(check int) "claimed entry left the queue" 0 (Pool.queued ())))
+
+let test_nested_async_inline () =
+  with_jobs 2 (fun () ->
+      let started = Atomic.make false and go = Atomic.make false in
+      let outer =
+        Pool.async (fun () ->
+            Atomic.set started true;
+            wait_for "go" (fun () -> Atomic.get go);
+            let inner = Pool.async (fun () -> Domain.self ()) in
+            (* a worker's async is not queued: it runs at await, here *)
+            let queued = Pool.queued () in
+            (Domain.self (), queued, Pool.await inner))
+      in
+      (* the task started before anyone awaited it: it is on the worker *)
+      wait_for "worker starts the task" (fun () -> Atomic.get started);
+      Atomic.set go true;
+      let here, queued, inner = Pool.await outer in
+      Alcotest.(check bool) "outer ran on a worker" true (here <> Domain.self ());
+      Alcotest.(check int) "nothing queued by the worker" 0 queued;
+      Alcotest.(check bool) "inner ran on the same domain" true (inner = here))
+
+let test_async_leaves_no_work () =
+  with_jobs 2 (fun () ->
+      let sum = ref 0 in
+      for i = 1 to 1000 do
+        sum := !sum + Pool.await (Pool.async (fun () -> i))
+      done;
+      Alcotest.(check int) "every result" 500500 !sum;
+      Alcotest.(check int) "queue empty" 0 (Pool.queued ()))
+
 let suite =
   ( "pool",
     [
@@ -116,4 +197,11 @@ let suite =
       Alcotest.test_case "ICOST_JOBS=1 degeneracy" `Quick test_jobs_one_degenerates;
       Alcotest.test_case "iter visits all" `Quick test_iter_visits_all;
       Alcotest.test_case "chunk partition" `Quick test_chunks_partition;
+      Alcotest.test_case "async at one job runs at await" `Quick test_async_jobs_one;
+      Alcotest.test_case "async exception re-raised" `Quick test_async_exception;
+      Alcotest.test_case "await inline while workers busy" `Quick
+        test_await_inline_when_busy;
+      Alcotest.test_case "nested async runs inline" `Quick test_nested_async_inline;
+      Alcotest.test_case "async/await leaves no queued work" `Quick
+        test_async_leaves_no_work;
     ] )

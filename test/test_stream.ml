@@ -1,7 +1,8 @@
 (* Tests for the streaming analysis core: front-end stepper equivalence,
    bounded-state simulator bit-identity, segmented-vs-monolithic exactness
-   across segment seams, job-count determinism, bounded memory, and the
-   stream_segment fault seam. *)
+   across segment seams, job-count determinism, bounded memory, the
+   stream_segment fault seam, and the producer/consumer pipeline's
+   invariance under the pool job count. *)
 
 module Isa = Icost_isa.Isa
 module Interp = Icost_isa.Interp
@@ -284,7 +285,13 @@ let test_seam_bookkeeping () =
      Alcotest.(check int) "frontier" r.Score.sim_cycles last.Score.cum_cycles
    | [] -> Alcotest.fail "no segments")
 
-(* ---- bounded memory: peak live words do not grow with trace length ---- *)
+(* ---- bounded memory: peak live words do not grow with trace length ----
+
+   gcc's carried rows ramp up with its data footprint for the first
+   ~240k instructions (in the lanes that idealize win, bw and bmisp
+   together every line row stays live) and then plateau, so the heap is
+   measured past the ramp, where only trace length still varies; the
+   carried-row high-water mark pins that the plateau was reached. *)
 
 let test_bounded_memory () =
   let w = Workload.find_exn "gcc" in
@@ -293,18 +300,17 @@ let test_bounded_memory () =
     let src = Source.of_program Config.default (w.Workload.build ()) ~warmup:500 ~max_insns:n in
     let r = Score.analyze ~segment_insns:2048 Config.default src in
     Alcotest.(check int) "instrs" n r.Score.instrs;
-    r.Score.peak_heap_words
+    (r.Score.peak_heap_words, r.Score.peak_carry_rows)
   in
-  (* warm the major heap to its steady state so the measured peaks
-     reflect the analysis, not GC growth heuristics *)
-  ignore (run 30_000);
-  (* three sizes, each doubling: live data is O(segment + window), so
-     peak heap must grow sublinearly — a doubling input may move the
-     heap-size high-water mark by GC pacing noise, but nowhere near 2x
-     (and 4x the input must stay well under 2.5x the heap) *)
-  let p1 = run 60_000 in
-  let p2 = run 120_000 in
-  let p3 = run 240_000 in
+  (* three sizes, each doubling: live data is O(segment + window +
+     footprint), so peak heap must grow sublinearly — a doubling input
+     may move the heap-size high-water mark by GC pacing noise, but
+     nowhere near 2x (and 4x the input must stay well under 2.5x the
+     heap) *)
+  let p1, _ = run 240_000 in
+  let p2, rows2 = run 480_000 in
+  let p3, rows3 = run 960_000 in
+  Alcotest.(check int) "carried rows past the ramp" rows2 rows3;
   let ratio a b = float_of_int a /. float_of_int b in
   if ratio p2 p1 > 1.5 || ratio p3 p2 > 1.5 || ratio p3 p1 > 2.5 then
     Alcotest.failf "peak heap grows with trace length: %d -> %d -> %d words" p1 p2 p3
@@ -420,6 +426,131 @@ let test_seeded_miss_window_seams () =
           (Category.Set.name s) v1 v4)
     all_sets
 
+(* ---- the pipeline: fragment k+1 is produced on a pool worker while
+   fragment k is priced; every job count must see the same stream ---- *)
+
+let with_jobs n f =
+  let saved = Pool.jobs () in
+  Fun.protect
+    ~finally:(fun () -> Pool.set_jobs saved)
+    (fun () ->
+      Pool.set_jobs n;
+      f ())
+
+(* everything but the heap samples, which depend on allocation timing *)
+let observable (r : Score.result) =
+  ( (r.Score.times, r.Score.instrs, r.Score.segments, r.Score.cycles),
+    (r.Score.sim_cycles, r.Score.peak_carry_rows),
+    List.map
+      (fun (st : Score.seg_stat) ->
+        (st.Score.seg_id, st.Score.seg_start, st.Score.seg_len, st.Score.cum_cycles))
+      r.Score.seg_stats )
+
+let test_pipeline_jobs_identity () =
+  List.iter
+    (fun name ->
+      List.iter
+        (fun (seg, measure) ->
+          (* one-instruction segments cost a full pinned prefix each *)
+          let strace, sevts = prepare ~measure name in
+          let run jobs =
+            with_jobs jobs (fun () ->
+                let r =
+                  Score.analyze ~segment_insns:seg Config.default
+                    (window_source strace sevts)
+                in
+                if jobs = 1 then
+                  Alcotest.(check int) "no domain spawned at one job" 0 (Pool.workers ());
+                observable r)
+          in
+          let r1 = run 1 in
+          List.iter
+            (fun jobs ->
+              if run jobs <> r1 then
+                Alcotest.failf "%s, segment %d: jobs %d differs from jobs 1" name seg
+                  jobs)
+            [ 2; 4 ])
+        [ (1, 100); (7, 400); (509, 3000); (8192, 3000) ])
+    [ "gcc"; "mcf" ]
+
+let test_pipeline_fault () =
+  let strace, sevts = prepare "bzip2" in
+  let analyze () =
+    Score.analyze ~segment_insns:512 Config.default (window_source strace sevts)
+  in
+  let faulted () =
+    Fault.configure_exn "stream_segment:@3";
+    Fun.protect ~finally:Fault.disable (fun () ->
+        match analyze () with
+        | _ -> Alcotest.fail "poisoned stream did not raise"
+        | exception Score.Segment_fault seg -> seg)
+  in
+  let seg1 = with_jobs 1 faulted in
+  with_jobs 2 (fun () ->
+      let clean = observable (analyze ()) in
+      Alcotest.(check int) "same faulted segment" seg1 (faulted ());
+      if observable (analyze ()) <> clean then
+        Alcotest.fail "aggregate corrupted by an aborted pipelined run")
+
+exception Source_broke of int
+
+(* A source over the gcc window counting its pulls; with [break_at] it
+   raises on that pull.  [late] counts pulls after [closed] is set. *)
+let counting_source ?break_at () =
+  let strace, sevts = prepare "gcc" in
+  let inner = window_source strace sevts in
+  let pulled = Atomic.make 0 and closed = Atomic.make false and late = Atomic.make 0 in
+  let src () =
+    if Atomic.get closed then Atomic.incr late;
+    let n = Atomic.fetch_and_add pulled 1 + 1 in
+    if Some n = break_at then raise (Source_broke n);
+    inner ()
+  in
+  (src, pulled, closed, late)
+
+let test_pipeline_source_error () =
+  (* the 1124th pull is in the third 512-instruction segment *)
+  let outcome jobs =
+    with_jobs jobs (fun () ->
+        let src, _, _, _ = counting_source ~break_at:1124 () in
+        match Score.analyze ~segment_insns:512 Config.default src with
+        | _ -> None
+        | exception e -> Some e)
+  in
+  let o1 = outcome 1 in
+  Alcotest.(check bool) "jobs 1 raises the source's exception" true
+    (o1 = Some (Source_broke 1124));
+  Alcotest.(check bool) "jobs 2 raises the same" true (outcome 2 = o1)
+
+let test_pipeline_source_pulls () =
+  let pulls jobs ~mode =
+    with_jobs jobs (fun () ->
+        let break_at = if mode = `Source_error then Some 1124 else None in
+        let src, pulled, closed, late = counting_source ?break_at () in
+        if mode = `Fault then Fault.configure_exn "stream_segment:@3";
+        let instrs =
+          Fun.protect ~finally:Fault.disable (fun () ->
+              match Score.analyze ~segment_insns:512 Config.default src with
+              | r -> Some r.Score.instrs
+              | exception (Score.Segment_fault _ | Source_broke _) -> None)
+        in
+        Atomic.set closed true;
+        let at_return = Atomic.get pulled in
+        (* a producer left in flight would pull again on its worker *)
+        Unix.sleepf 0.05;
+        Alcotest.(check int) "no pull after analyze" 0 (Atomic.get late);
+        Alcotest.(check int) "pull count settled" at_return (Atomic.get pulled);
+        (instrs, at_return))
+  in
+  List.iter
+    (fun mode ->
+      let ((instrs, n1) as r1) = pulls 1 ~mode in
+      (match instrs with
+       | Some instrs -> Alcotest.(check int) "one pull past the end" (instrs + 1) n1
+       | None -> ());
+      if pulls 2 ~mode <> r1 then Alcotest.fail "jobs 1 and 2 pull differently")
+    [ `Clean; `Fault; `Source_error ]
+
 let suite =
   ( "stream",
     [
@@ -442,4 +573,11 @@ let suite =
         test_prepare_matches_slice;
       Alcotest.test_case "prepared window bytes pinned" `Quick
         test_prepare_bytes_pinned;
+      Alcotest.test_case "pipeline: jobs 1, 2, 4 bit-identical" `Quick
+        test_pipeline_jobs_identity;
+      Alcotest.test_case "pipeline: fault seam at jobs 2" `Quick test_pipeline_fault;
+      Alcotest.test_case "pipeline: source error propagates" `Quick
+        test_pipeline_source_error;
+      Alcotest.test_case "pipeline: source never pulled late" `Quick
+        test_pipeline_source_pulls;
     ] )
